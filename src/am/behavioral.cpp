@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/kernels/kernels.h"
 
@@ -73,46 +74,51 @@ BehavioralSearch BehavioralAm::search(std::span<const int> query) const {
   return out;
 }
 
-BehavioralTopK BehavioralAm::search_topk(std::span<const int> query,
-                                         int k) const {
+std::vector<BehavioralTopK> BehavioralAm::search_topk_packed_batch(
+    const core::DigitMatrix& queries, int first, int count, int k) const {
   if (k < 1)
-    throw std::invalid_argument("BehavioralAm::search_topk: k must be >= 1");
-  const auto packed = matrix_.pack(query);  // validates length and range
-  return search_topk_packed(packed, k);
-}
-
-BehavioralTopK BehavioralAm::search_topk_packed(
-    std::span<const std::uint32_t> packed, int k) const {
-  if (k < 1)
-    throw std::invalid_argument("BehavioralAm::search_topk: k must be >= 1");
+    throw std::invalid_argument(
+        "BehavioralAm::search_topk_packed_batch: k must be >= 1");
+  if (queries.bits_per_digit() != matrix_.bits_per_digit())
+    throw std::invalid_argument(
+        "BehavioralAm::search_topk_packed_batch: queries pack " +
+        std::to_string(queries.bits_per_digit()) + "-bit fields, rows " +
+        std::to_string(matrix_.bits_per_digit()) + "-bit fields");
+  if (first < 0 || count < 0 || first + count > queries.rows())
+    throw std::invalid_argument(
+        "BehavioralAm::search_topk_packed_batch: query range [" +
+        std::to_string(first) + ", " + std::to_string(first + count) +
+        ") outside the batch's " + std::to_string(queries.rows()) + " rows");
   const auto rows = static_cast<std::size_t>(matrix_.rows());
   std::vector<std::int32_t> mismatches(rows);
-  // One row-blocked kernel batch call over the packed store (validates the
-  // packed word count); the calibrated model maps counts to delay/energy.
-  core::kernels::mismatch_count_batch(matrix_, packed, mismatches);
-  BehavioralTopK out;
-  out.entries.reserve(rows);
-  long sum = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const int mis = mismatches[r];
-    const double delay = cal_.predict_delay(stages_, mis);
-    const int dist = tdc_.convert(delay);
-    out.entries.push_back({static_cast<int>(r), static_cast<double>(dist)});
-    sum += dist;
-    out.latency = std::max(out.latency, delay);
-    out.energy += cal_.predict_energy(stages_, mis);
+  std::vector<BehavioralTopK> out(static_cast<std::size_t>(count));
+  for (int q = 0; q < count; ++q) {
+    // One row-blocked kernel batch call over the packed store (validates
+    // the packed word count); the calibrated model maps counts to
+    // delay/energy.
+    core::kernels::mismatch_count_batch(matrix_, queries.row_words(first + q),
+                                        mismatches);
+    auto& top = out[static_cast<std::size_t>(q)];
+    top.entries.reserve(rows);
+    long sum = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const int mis = mismatches[r];
+      const double delay = cal_.predict_delay(stages_, mis);
+      const int dist = tdc_.convert(delay);
+      top.entries.push_back({static_cast<int>(r), static_cast<double>(dist)});
+      sum += dist;
+      top.latency = std::max(top.latency, delay);
+      top.energy += cal_.predict_energy(stages_, mis);
+    }
+    if (rows > 0)
+      top.mean_score = static_cast<double>(sum) / static_cast<double>(rows);
+    const auto keep = std::min<std::size_t>(static_cast<std::size_t>(k), rows);
+    std::partial_sort(top.entries.begin(),
+                      top.entries.begin() + static_cast<std::ptrdiff_t>(keep),
+                      top.entries.end(),
+                      core::ScoreComparator{core::ScoreOrder::kAscending});
+    top.entries.resize(keep);
   }
-  if (!out.entries.empty()) {
-    out.mean_score =
-        static_cast<double>(sum) / static_cast<double>(out.entries.size());
-  }
-  const auto keep = std::min<std::size_t>(static_cast<std::size_t>(k),
-                                          out.entries.size());
-  std::partial_sort(out.entries.begin(),
-                    out.entries.begin() + static_cast<std::ptrdiff_t>(keep),
-                    out.entries.end(),
-                    core::ScoreComparator{core::ScoreOrder::kAscending});
-  out.entries.resize(keep);
   return out;
 }
 

@@ -70,23 +70,21 @@ class BehavioralAm final : public core::SimilarityBackend {
 
   BehavioralSearch search(std::span<const int> query) const;
 
-  // k-NN variant: the min(k, rows) nearest stored rows by digitised
-  // distance, sorted by (distance, row).  The physical array still fires
-  // every chain — only the TDC readout keeps k winners — so latency and
-  // energy match `search` exactly.  k must be >= 1.
-  BehavioralTopK search_topk(std::span<const int> query,
-                             int k) const override;
-
-  // Packed-query fast path (core::SimilarityBackend contract): the mismatch
-  // counts come from one kernel-layer batch call over the packed store; the
-  // calibrated delay/energy/TDC model is applied per row on top.
-  BehavioralTopK search_topk_packed(std::span<const std::uint32_t> packed,
-                                    int k) const override;
+  // k-NN search (core::SimilarityBackend contract), one query at a time:
+  // per query, the min(k, rows) nearest stored rows by digitised distance,
+  // sorted by (distance, row).  The mismatch counts come from one
+  // kernel-layer batch call over the packed store; the calibrated
+  // delay/energy/TDC model is applied per row on top.  The physical array
+  // still fires every chain — only the TDC readout keeps k winners — so
+  // latency and energy match `search` exactly.  Every result carries native
+  // modeled latency/energy, so there is no pure-software tiled scan to
+  // route through and query_tile() stays 1.
+  std::vector<BehavioralTopK> search_topk_packed_batch(
+      const core::DigitMatrix& queries, int first, int count,
+      int k) const override;
 
   // mmap-load support: swap in a pre-packed store wholesale (geometry is
-  // validated; calibration and bank model are unchanged).  Keeps the default
-  // per-query batch loop — every behavioural result carries native modeled
-  // latency/energy, so there is no pure-software tiled scan to route through.
+  // validated; calibration and bank model are unchanged).
   void adopt_matrix(core::DigitMatrix matrix) override {
     core::check_adopt_geometry(*this, matrix, "BehavioralAm::adopt_matrix");
     matrix_ = std::move(matrix);

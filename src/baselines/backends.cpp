@@ -25,24 +25,11 @@ DigitalPopcountBackend::DigitalPopcountBackend(int stages, int levels,
     throw std::invalid_argument("DigitalPopcountBackend: lanes must be >= 1");
 }
 
-core::BackendTopK DigitalPopcountBackend::search_topk(
-    std::span<const int> query, int k) const {
-  // The comparator array computes exact digit mismatches; latency/energy of
-  // a full query come from the cost hook, not per-row accounting.
-  return core::exhaustive_topk(matrix_, query, k,
-                               core::DigitMetric::kMismatchCount);
-}
-
-core::BackendTopK DigitalPopcountBackend::search_topk_packed(
-    std::span<const std::uint32_t> packed, int k) const {
-  return core::exhaustive_topk_packed(matrix_, packed, k,
-                                      core::DigitMetric::kMismatchCount);
-}
-
 std::vector<core::BackendTopK> DigitalPopcountBackend::search_topk_packed_batch(
     const core::DigitMatrix& queries, int first, int count, int k) const {
-  // Exhaustive results carry no native latency/energy (costs come from the
-  // query_cost hook), so the tiled software scan is semantics-preserving.
+  // The comparator array computes exact digit mismatches; latency/energy of
+  // a full query come from the query_cost hook, not per-row accounting, so
+  // the tiled software scan is the whole answer.
   return core::exhaustive_topk_packed_batch(
       matrix_, queries, first, count, k, core::DigitMetric::kMismatchCount,
       scan_);
@@ -79,18 +66,6 @@ CrossbarCamBackend::CrossbarCamBackend(int stages, int levels, int array_rows,
   if (array_rows < 1)
     throw std::invalid_argument(
         "CrossbarCamBackend: array_rows must be >= 1");
-}
-
-core::BackendTopK CrossbarCamBackend::search_topk(std::span<const int> query,
-                                                  int k) const {
-  return core::exhaustive_topk(matrix_, query, k,
-                               core::DigitMetric::kMismatchCount);
-}
-
-core::BackendTopK CrossbarCamBackend::search_topk_packed(
-    std::span<const std::uint32_t> packed, int k) const {
-  return core::exhaustive_topk_packed(matrix_, packed, k,
-                                      core::DigitMetric::kMismatchCount);
 }
 
 std::vector<core::BackendTopK> CrossbarCamBackend::search_topk_packed_batch(

@@ -41,10 +41,6 @@ class DigitalPopcountBackend final : public core::SimilarityBackend {
     return matrix_.unpack_row(row);
   }
 
-  core::BackendTopK search_topk(std::span<const int> query,
-                                int k) const override;
-  core::BackendTopK search_topk_packed(std::span<const std::uint32_t> packed,
-                                       int k) const override;
   std::vector<core::BackendTopK> search_topk_packed_batch(
       const core::DigitMatrix& queries, int first, int count,
       int k) const override;
@@ -94,10 +90,6 @@ class CrossbarCamBackend final : public core::SimilarityBackend {
     return matrix_.unpack_row(row);
   }
 
-  core::BackendTopK search_topk(std::span<const int> query,
-                                int k) const override;
-  core::BackendTopK search_topk_packed(std::span<const std::uint32_t> packed,
-                                       int k) const override;
   std::vector<core::BackendTopK> search_topk_packed_batch(
       const core::DigitMatrix& queries, int first, int count,
       int k) const override;

@@ -68,8 +68,7 @@ void keep_topk(BackendTopK& out, int k, DigitMetric metric) {
 }
 
 // One query's scored column -> BackendTopK.  These finalizers are the ONLY
-// place scan scores become (entries, mean_score), so the single-query and
-// tiled paths cannot drift.
+// place exhaustive scan scores become (entries, mean_score).
 
 BackendTopK topk_from_distances(std::span<const std::int32_t> dist, int k,
                                 DigitMetric metric) {
@@ -122,34 +121,6 @@ BackendTopK topk_from_cosine(std::span<const std::int64_t> dots,
 }
 
 }  // namespace
-
-BackendTopK exhaustive_topk_packed(const DigitMatrix& matrix,
-                                   std::span<const std::uint32_t> packed,
-                                   int k, DigitMetric metric) {
-  if (k < 1)
-    throw std::invalid_argument("exhaustive_topk: k must be >= 1");
-  const int rows = matrix.rows();
-  if (metric_is_mismatch_family(metric)) {
-    std::vector<std::int32_t> dist(static_cast<std::size_t>(rows));
-    if (metric == DigitMetric::kMismatchCount) {
-      kernels::mismatch_count_batch(matrix, packed, dist);
-    } else {
-      kernels::l1_distance_batch(matrix, packed, dist);
-    }
-    return topk_from_distances(dist, k, metric);
-  }
-  std::vector<std::int64_t> dots(static_cast<std::size_t>(rows));
-  kernels::dot_product_batch(matrix, packed, dots);
-  if (metric == DigitMetric::kDot) return topk_from_dots(dots, k);
-  // kCosine
-  const std::int64_t query_sq =
-      packed_norm_sq(packed, matrix.bits_per_digit(), matrix.tail_mask());
-  std::vector<std::int64_t> row_sq(static_cast<std::size_t>(rows));
-  for (int r = 0; r < rows; ++r)
-    row_sq[static_cast<std::size_t>(r)] = packed_norm_sq(
-        matrix.row_words(r), matrix.bits_per_digit(), matrix.tail_mask());
-  return topk_from_cosine(dots, row_sq, query_sq, k);
-}
 
 std::vector<BackendTopK> exhaustive_topk_packed_batch(
     const DigitMatrix& matrix, const DigitMatrix& queries, int first,
@@ -208,49 +179,17 @@ std::vector<BackendTopK> exhaustive_topk_packed_batch(
 BackendTopK exhaustive_topk(const DigitMatrix& matrix,
                             std::span<const int> query, int k,
                             DigitMetric metric) {
-  // pack() validates digit count and range for every metric, including on
-  // an empty store.
-  const auto packed = matrix.pack(query);
-  return exhaustive_topk_packed(matrix, packed, k, metric);
+  DigitMatrix one(matrix.cols(), matrix.levels());
+  one.append(query);  // validates digit count and range
+  return std::move(
+      exhaustive_topk_packed_batch(matrix, one, 0, 1, k, metric).front());
 }
 
-BackendTopK SimilarityBackend::search_topk_packed(
-    std::span<const std::uint32_t> packed, int k) const {
-  // Generic fallback: decode the packed fields (stages()/levels() fix the
-  // packing exactly as DigitMatrix does) and run the unpacked search.
-  const int bits = DigitMatrix::field_bits(levels());
-  const int dpw = 32 / bits;
-  const int expect_words = (stages() + dpw - 1) / dpw;
-  if (packed.size() != static_cast<std::size_t>(expect_words))
-    throw std::invalid_argument(
-        "SimilarityBackend::search_topk_packed: query has " +
-        std::to_string(packed.size()) + " packed words, expected " +
-        std::to_string(expect_words));
-  const std::uint32_t field_mask =
-      (bits == 32) ? ~0u : ((std::uint32_t{1} << bits) - 1u);
-  std::vector<int> digits(static_cast<std::size_t>(stages()));
-  for (int c = 0; c < stages(); ++c) {
-    const std::uint32_t word = packed[static_cast<std::size_t>(c / dpw)];
-    digits[static_cast<std::size_t>(c)] =
-        static_cast<int>((word >> ((c % dpw) * bits)) & field_mask);
-  }
-  return search_topk(digits, k);
-}
-
-std::vector<BackendTopK> SimilarityBackend::search_topk_packed_batch(
-    const DigitMatrix& queries, int first, int count, int k) const {
-  // Generic fallback: the per-query loop the tiled overrides must be
-  // bit-identical to.
-  if (first < 0 || count < 0 || first + count > queries.rows())
-    throw std::invalid_argument(
-        "SimilarityBackend::search_topk_packed_batch: query range [" +
-        std::to_string(first) + ", " + std::to_string(first + count) +
-        ") outside the batch's " + std::to_string(queries.rows()) + " rows");
-  std::vector<BackendTopK> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int q = 0; q < count; ++q)
-    out.push_back(search_topk_packed(queries.row_words(first + q), k));
-  return out;
+BackendTopK SimilarityBackend::search_topk(std::span<const int> query,
+                                           int k) const {
+  DigitMatrix one(stages(), levels());
+  one.append(query);  // validates digit count and range
+  return std::move(search_topk_packed_batch(one, 0, 1, k).front());
 }
 
 void check_adopt_geometry(const SimilarityBackend& backend,
@@ -263,52 +202,5 @@ void check_adopt_geometry(const SimilarityBackend& backend,
         " levels, backend stores " + std::to_string(backend.stages()) +
         " digits over " + std::to_string(backend.levels()) + " levels");
 }
-
-void SimilarityBackend::adopt_matrix(DigitMatrix matrix) {
-  // Generic fallback: replay the rows through store().  Correct for any
-  // backend (including ones with derived per-row state); packed backends
-  // override with a move.
-  check_adopt_geometry(*this, matrix, "SimilarityBackend::adopt_matrix");
-  clear();
-  std::vector<int> digits(static_cast<std::size_t>(stages()));
-  for (int r = 0; r < matrix.rows(); ++r) {
-    matrix.unpack_row_into(r, digits);
-    store(digits);
-  }
-}
-
-// --- deprecated integer-distance adapters ----------------------------------
-// The definitions themselves must reference the deprecated declarations, so
-// silence the self-inflicted warning locally.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-namespace {
-
-LegacyTopK to_legacy(BackendTopK modern) {
-  LegacyTopK out;
-  out.entries.reserve(modern.entries.size());
-  for (const auto& e : modern.entries)
-    out.entries.push_back({e.row, static_cast<int>(e.score)});
-  out.latency = modern.latency;
-  out.energy = modern.energy;
-  out.mean_distance = modern.mean_score;
-  return out;
-}
-
-}  // namespace
-
-LegacyTopK search_topk_int(const SimilarityBackend& backend,
-                           std::span<const int> query, int k) {
-  return to_legacy(backend.search_topk(query, k));
-}
-
-LegacyTopK search_topk_packed_int(const SimilarityBackend& backend,
-                                  std::span<const std::uint32_t> packed,
-                                  int k) {
-  return to_legacy(backend.search_topk_packed(packed, k));
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace tdam::core

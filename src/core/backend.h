@@ -20,8 +20,9 @@
 //    makes results thread-count-, shard-count- and backend-invariant.
 //
 // Two cost views per backend:
-//  * search_topk reports the backend's *native per-search* latency/energy
-//    (e.g. the AM's slowest-chain delay), zero where no native model exists;
+//  * each search result carries the backend's *native per-search*
+//    latency/energy (e.g. the AM's slowest-chain delay), zero where no
+//    native model exists;
 //  * query_cost is the QueryCostModel hook: modeled latency/energy/passes
 //    for one full query over the currently stored rows on the backend's
 //    physical array, given a measured mismatch fraction — what the serving
@@ -49,7 +50,7 @@ enum class ScoreOrder {
 // The digit metric a backend computes.  Backends sharing a metric are exact
 // drop-in replacements for each other (identical (score, row) top-k);
 // metrics only differ, never backends within one.  Enumerator values are
-// the wire ids carried by v2 QUERY replies — append-only, never renumber.
+// the wire ids carried by QUERY replies — append-only, never renumber.
 enum class DigitMetric : std::uint8_t {
   kMismatchCount = 0,  // # of differing digits — the AM's native kernel
   kL1 = 1,             // sum |a-b| — what thermometer-coded storage realises
@@ -171,50 +172,39 @@ class SimilarityBackend {
   virtual std::vector<int> row_digits(int row) const = 0;
 
   // The min(k, rows()) best stored rows in (score, row) order; k must be
-  // >= 1.
-  virtual BackendTopK search_topk(std::span<const int> query,
-                                  int k) const = 0;
+  // >= 1.  Not a backend hook: packs `query` into a one-row
+  // DigitMatrix(stages(), levels()) — which validates its length and digit
+  // range — and answers it through search_topk_packed_batch.
+  BackendTopK search_topk(std::span<const int> query, int k) const;
 
-  // Packed-query fast path: `packed` holds the query packed exactly as a
-  // DigitMatrix(stages(), levels()) packs a row (see DigitMatrix::pack).
-  // The serving engine hands packed batch rows straight through here, so
-  // the hot path never unpacks and re-packs digits.  The default decodes
-  // the digits and delegates to search_topk; packed backends override it to
-  // feed the kernel batch API directly.  Throws std::invalid_argument on a
-  // wrong packed word count.
-  virtual BackendTopK search_topk_packed(std::span<const std::uint32_t> packed,
-                                         int k) const;
-
-  // Multi-query packed fast path: answers query rows [first, first+count)
-  // of `queries` (packed exactly as this backend packs rows), one
-  // BackendTopK per query in batch order.  The contract is bit-identical
-  // results to `count` search_topk_packed calls — this hook exists so
-  // packed backends can stream each stored row block once per query tile
-  // (see exhaustive_topk_packed_batch) instead of once per query.  The
-  // default does exactly the per-query loop, so custom backends stay
-  // correct without opting in.
+  // THE search hook: answers query rows [first, first+count) of `queries`
+  // (packed exactly as a DigitMatrix(stages(), levels()) packs a row), one
+  // BackendTopK per query in batch order; k must be >= 1.  Results must be
+  // bit-identical for any split of a batch into calls, so the serving
+  // engine can hand any tile straight through.  Tiled backends stream each
+  // stored row block once per call (exhaustive_topk_packed_batch); the
+  // behavioral model answers the queries one by one.  Throws
+  // std::invalid_argument on a mismatched packing or query range.
   virtual std::vector<BackendTopK> search_topk_packed_batch(
-      const class DigitMatrix& queries, int first, int count, int k) const;
+      const class DigitMatrix& queries, int first, int count, int k) const = 0;
 
   // How many queries the serving engine should group into one
-  // search_topk_packed_batch call.  Backends whose batch path is the
-  // default per-query loop report 1 (no reuse to exploit); tiled backends
-  // report their ScanOptions::query_tile.
+  // search_topk_packed_batch call: tiled backends report their
+  // ScanOptions::query_tile; a backend that answers query by query (no
+  // stored-row reuse to exploit) reports 1.
   virtual int query_tile() const { return 1; }
 
   // Replaces the stored set wholesale with `matrix`, which must match this
   // backend's geometry (stages/levels fix the packing) — the mmap load
-  // path.  The default unpacks and re-stores row by row, correct for any
-  // backend; packed backends override with a move (plus any cache rebuild,
-  // e.g. cosine norms) so loading a multi-GB segment is O(rows) integer
-  // work at worst, never a digit-by-digit revalidation.  Throws
-  // std::invalid_argument on a geometry mismatch.
-  virtual void adopt_matrix(class DigitMatrix matrix);
+  // path.  A move plus any cache rebuild (e.g. cosine norms), so loading a
+  // multi-GB segment is O(rows) integer work at worst, never a
+  // digit-by-digit revalidation.  Throws std::invalid_argument on a
+  // geometry mismatch (see check_adopt_geometry).
+  virtual void adopt_matrix(class DigitMatrix matrix) = 0;
 
-  // The backend's packed row store when it keeps one (every built-in does)
-  // — what index persistence snapshots without unpacking a single digit.
-  // nullptr means "no packed matrix"; savers then re-pack via row_digits.
-  virtual const class DigitMatrix* packed_view() const { return nullptr; }
+  // The backend's packed row store — what index persistence snapshots
+  // without unpacking a single digit.
+  virtual const class DigitMatrix* packed_view() const = 0;
 
   // QueryCostModel hook: modeled hardware cost of one query over the
   // current rows() at the given average digit-mismatch fraction.  Callers
@@ -246,20 +236,12 @@ inline double cosine_score(std::int64_t dot, std::int64_t a_norm_sq,
 std::int64_t packed_norm_sq(std::span<const std::uint32_t> words, int bits,
                             std::uint32_t tail_mask);
 
-// Shared brute-force scan for exact backends: scores from `matrix` under
-// `metric`, deterministic (score, row) order in the metric's direction,
-// mean over all rows.  The whole scan goes through the dispatched kernel
-// layer (core::kernels::active()) — one row-blocked batch call, not a
-// per-row word loop.
+// One-query brute-force scan (the test reference): packs `query` — which
+// validates its length and digit range, even on an empty store — and runs
+// exhaustive_topk_packed_batch over that one row.
 BackendTopK exhaustive_topk(const class DigitMatrix& matrix,
                             std::span<const int> query, int k,
                             DigitMetric metric);
-
-// Same scan for a query already packed as `matrix` packs rows (the serving
-// engine's zero-unpack path).
-BackendTopK exhaustive_topk_packed(const class DigitMatrix& matrix,
-                                   std::span<const std::uint32_t> packed,
-                                   int k, DigitMetric metric);
 
 // Throws std::invalid_argument (naming both geometries) unless `matrix`
 // matches `backend`'s stages/levels exactly — the adopt_matrix precondition
@@ -270,40 +252,13 @@ void check_adopt_geometry(const SimilarityBackend& backend,
 // Query-block tiled scan: answers query rows [first, first+count) of
 // `queries` against `matrix` under `metric`, streaming each row block of
 // the stored set once per tile (kernels::*_tile) instead of once per
-// query.  Bit-identical to count exhaustive_topk_packed calls for any
-// ScanOptions; for kCosine the stored-row norms are computed once per call
-// instead of once per query.
+// query.  Scores from `matrix` under `metric` in the deterministic (score,
+// row) order of the metric's direction, mean over all rows; bit-identical
+// for any ScanOptions and any split of the batch.  For kCosine the
+// stored-row norms are computed once per call instead of once per query.
 std::vector<BackendTopK> exhaustive_topk_packed_batch(
     const class DigitMatrix& matrix, const class DigitMatrix& queries,
     int first, int count, int k, DigitMetric metric,
     const ScanOptions& scan = {});
-
-// ---------------------------------------------------------------------------
-// Pre-redesign integer-distance API, kept as thin adapters so out-of-tree
-// callers keep compiling during migration.  In-tree code must not use these
-// (scripts/check_no_deprecated_calls.py enforces it in ctest); they truncate
-// double scores to int and only make sense for mismatch-family metrics.
-
-struct LegacyTopKEntry {
-  int row = -1;
-  int distance = 0;
-};
-
-struct LegacyTopK {
-  std::vector<LegacyTopKEntry> entries;
-  double latency = 0.0;
-  double energy = 0.0;
-  double mean_distance = 0.0;
-};
-
-[[deprecated("use SimilarityBackend::search_topk; scores are double now")]]
-LegacyTopK search_topk_int(const SimilarityBackend& backend,
-                           std::span<const int> query, int k);
-
-[[deprecated(
-    "use SimilarityBackend::search_topk_packed; scores are double now")]]
-LegacyTopK search_topk_packed_int(const SimilarityBackend& backend,
-                                  std::span<const std::uint32_t> packed,
-                                  int k);
 
 }  // namespace tdam::core

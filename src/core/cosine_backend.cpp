@@ -49,11 +49,6 @@ void CosineBackend::clear() {
   norms_sq_.clear();
 }
 
-BackendTopK CosineBackend::search_topk(std::span<const int> query,
-                                       int k) const {
-  return search_topk_packed(matrix_.pack(query), k);
-}
-
 BackendTopK CosineBackend::topk_from_dots(std::span<const std::int64_t> dots,
                                           std::int64_t query_sq,
                                           int k) const {
@@ -78,23 +73,11 @@ BackendTopK CosineBackend::topk_from_dots(std::span<const std::int64_t> dots,
   return out;
 }
 
-BackendTopK CosineBackend::search_topk_packed(
-    std::span<const std::uint32_t> packed, int k) const {
-  if (k < 1)
-    throw std::invalid_argument("CosineBackend::search_topk: k must be >= 1");
-  const int rows = matrix_.rows();
-  std::vector<std::int64_t> dots(static_cast<std::size_t>(rows));
-  // Validates the packed word count against the matrix geometry.
-  kernels::dot_product_batch(matrix_, packed, dots);
-  const std::int64_t query_sq =
-      packed_norm_sq(packed, matrix_.bits_per_digit(), matrix_.tail_mask());
-  return topk_from_dots(dots, query_sq, k);
-}
-
 std::vector<BackendTopK> CosineBackend::search_topk_packed_batch(
     const DigitMatrix& queries, int first, int count, int k) const {
   if (k < 1)
-    throw std::invalid_argument("CosineBackend::search_topk: k must be >= 1");
+    throw std::invalid_argument(
+        "CosineBackend::search_topk_packed_batch: k must be >= 1");
   const auto rows = static_cast<std::size_t>(matrix_.rows());
   std::vector<std::int64_t> dots(static_cast<std::size_t>(count) * rows);
   // Validates the query packing and the [first, first+count) range.

@@ -56,9 +56,6 @@ class CosineBackend final : public SimilarityBackend {
     return matrix_.unpack_row(row);
   }
 
-  BackendTopK search_topk(std::span<const int> query, int k) const override;
-  BackendTopK search_topk_packed(std::span<const std::uint32_t> packed,
-                                 int k) const override;
   // Tiled override: one dot-kernel tile over the stored rows for the whole
   // query block, cached norms on top — never recomputes a row norm.
   std::vector<BackendTopK> search_topk_packed_batch(const DigitMatrix& queries,
@@ -78,8 +75,7 @@ class CosineBackend final : public SimilarityBackend {
   std::size_t resident_bytes() const override;
 
  private:
-  // (dots, query norm) -> sorted top-k against the cached row norms; the
-  // single shared finalizer of both packed paths.
+  // (dots, query norm) -> sorted top-k against the cached row norms.
   BackendTopK topk_from_dots(std::span<const std::int64_t> dots,
                              std::int64_t query_sq, int k) const;
 
@@ -108,13 +104,6 @@ class DotProductBackend final : public SimilarityBackend {
     return matrix_.unpack_row(row);
   }
 
-  BackendTopK search_topk(std::span<const int> query, int k) const override {
-    return exhaustive_topk(matrix_, query, k, DigitMetric::kDot);
-  }
-  BackendTopK search_topk_packed(std::span<const std::uint32_t> packed,
-                                 int k) const override {
-    return exhaustive_topk_packed(matrix_, packed, k, DigitMetric::kDot);
-  }
   std::vector<BackendTopK> search_topk_packed_batch(const DigitMatrix& queries,
                                                     int first, int count,
                                                     int k) const override {

@@ -35,13 +35,6 @@ class ExactL1Backend final : public SimilarityBackend {
     return matrix_.unpack_row(row);
   }
 
-  BackendTopK search_topk(std::span<const int> query, int k) const override {
-    return exhaustive_topk(matrix_, query, k, metric_);
-  }
-  BackendTopK search_topk_packed(std::span<const std::uint32_t> packed,
-                                 int k) const override {
-    return exhaustive_topk_packed(matrix_, packed, k, metric_);
-  }
   std::vector<BackendTopK> search_topk_packed_batch(const DigitMatrix& queries,
                                                     int first, int count,
                                                     int k) const override {

@@ -21,19 +21,10 @@ namespace {
 
 }  // namespace
 
-AmClient::AmClient(const std::string& host, int port,
-                   std::uint8_t protocol_version)
-    : version_(protocol_version) {
+AmClient::AmClient(const std::string& host, int port) {
   if (port <= 0 || port > 65535)
     throw std::invalid_argument("AmClient: port must be in [1, 65535] (got " +
                                 std::to_string(port) + ")");
-  if (protocol_version < kMinProtocolVersion ||
-      protocol_version > kProtocolVersion)
-    throw std::invalid_argument(
-        "AmClient: protocol_version must be in [" +
-        std::to_string(kMinProtocolVersion) + ", " +
-        std::to_string(kProtocolVersion) + "] (got " +
-        std::to_string(protocol_version) + ")");
   fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_errno("socket");
   sockaddr_in addr{};
@@ -62,7 +53,6 @@ AmClient::~AmClient() {
 
 AmClient::AmClient(AmClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      version_(other.version_),
       next_request_id_(other.next_request_id_) {}
 
 // --- transport --------------------------------------------------------------
@@ -122,7 +112,7 @@ void AmClient::shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
 std::uint64_t AmClient::send_hello() {
   const auto id = next_id();
-  const auto frame = encode_hello(id, version_);
+  const auto frame = encode_hello(id);
   write_all(frame.data(), frame.size());
   return id;
 }
@@ -135,14 +125,14 @@ std::uint64_t AmClient::send_query(const std::vector<std::uint16_t>& digits,
   request.k = k;
   request.deadline_us = deadline_us;
   request.digits = digits;
-  const auto frame = encode_query(id, request, version_);
+  const auto frame = encode_query(id, request);
   write_all(frame.data(), frame.size());
   return id;
 }
 
 std::uint64_t AmClient::send_store(const std::vector<std::uint16_t>& digits) {
   const auto id = next_id();
-  const auto frame = encode_store(id, StoreRequest{digits}, version_);
+  const auto frame = encode_store(id, StoreRequest{digits});
   write_all(frame.data(), frame.size());
   return id;
 }
@@ -153,21 +143,21 @@ std::uint64_t AmClient::send_store_batch(
   StoreBatchRequest request;
   request.digits_per_row = digits_per_row;
   request.digits = digits;
-  const auto frame = encode_store_batch(id, request, version_);
+  const auto frame = encode_store_batch(id, request);
   write_all(frame.data(), frame.size());
   return id;
 }
 
 std::uint64_t AmClient::send_stats() {
   const auto id = next_id();
-  const auto frame = encode_stats(id, version_);
+  const auto frame = encode_stats(id);
   write_all(frame.data(), frame.size());
   return id;
 }
 
 std::uint64_t AmClient::send_metrics(MetricsFormat format) {
   const auto id = next_id();
-  const auto frame = encode_metrics(id, MetricsRequest{format}, version_);
+  const auto frame = encode_metrics(id, MetricsRequest{format});
   write_all(frame.data(), frame.size());
   return id;
 }
@@ -187,10 +177,7 @@ bool AmClient::recv(Reply& out) {
       out.hello = decode_hello_reply(payload.data(), payload.size());
       return true;
     case MsgType::kQueryReply:
-      // The reply frame's own version picks the payload schema — a v1
-      // server answering this client still decodes correctly.
-      out.query =
-          decode_query_reply(payload.data(), payload.size(), header.version);
+      out.query = decode_query_reply(payload.data(), payload.size());
       return true;
     case MsgType::kStoreReply:
       out.store = decode_store_reply(payload.data(), payload.size());
@@ -202,10 +189,7 @@ bool AmClient::recv(Reply& out) {
       out.clear = decode_clear_reply(payload.data(), payload.size());
       return true;
     case MsgType::kStatsReply:
-      // Like query replies, the STATS payload is version-dependent (v3
-      // appended per-stage quantiles): decode by the frame's own version.
-      out.stats =
-          decode_stats_reply(payload.data(), payload.size(), header.version);
+      out.stats = decode_stats_reply(payload.data(), payload.size());
       return true;
     case MsgType::kMetricsReply:
       out.metrics = decode_metrics_reply(payload.data(), payload.size());
@@ -259,7 +243,7 @@ AmClient::Reply AmClient::store_batch(
 
 AmClient::Reply AmClient::clear() {
   const auto id = next_id();
-  const auto frame = encode_clear(id, version_);
+  const auto frame = encode_clear(id);
   write_all(frame.data(), frame.size());
   return wait_for(id);
 }

@@ -36,13 +36,8 @@ namespace tdam::net {
 class AmClient {
  public:
   // Connects (blocking) and enables TCP_NODELAY; throws std::runtime_error
-  // on failure.  `protocol_version` is the dialect this client stamps on
-  // every request — the server answers each request in the same dialect, so
-  // passing 1 here exercises the legacy integer-score encoding end to end
-  // (the compatibility path the cross-version tests pin down).  Out-of-range
-  // versions throw std::invalid_argument.
-  AmClient(const std::string& host, int port,
-           std::uint8_t protocol_version = kProtocolVersion);
+  // on failure.  Every request is stamped with kProtocolVersion.
+  AmClient(const std::string& host, int port);
   ~AmClient();
 
   AmClient(const AmClient&) = delete;
@@ -83,10 +78,9 @@ class AmClient {
                     std::uint32_t digits_per_row);
   Reply clear();
   StatsReply stats();
-  // Full observability export over the query socket (v3+): Prometheus
-  // text, registry JSON, or the trace/slow-query dump — the same bytes the
-  // embedded HTTP listener serves.  A v1/v2 client calling this gets the
-  // server's ERROR/kUnknownType back as a ProtocolError.
+  // Full observability export over the query socket: Prometheus text,
+  // registry JSON, or the trace/slow-query dump — the same bytes the
+  // embedded HTTP listener serves.
   MetricsReply metrics(MetricsFormat format = MetricsFormat::kPrometheus);
 
   // --- pipelined calls ----------------------------------------------------
@@ -116,7 +110,6 @@ class AmClient {
   void shutdown_write();
 
   int fd() const { return fd_; }
-  std::uint8_t protocol_version() const { return version_; }
 
  private:
   std::uint64_t next_id() { return next_request_id_++; }
@@ -126,7 +119,6 @@ class AmClient {
   Reply wait_for(std::uint64_t request_id);
 
   int fd_ = -1;
-  std::uint8_t version_ = kProtocolVersion;
   std::uint64_t next_request_id_ = 1;
 };
 

@@ -19,10 +19,8 @@ void check_count(std::uint32_t count, std::size_t elem_bytes,
 
 std::vector<std::uint8_t> frame(MsgType type, std::uint64_t request_id,
                                 std::uint64_t trace_id,
-                                const std::vector<std::uint8_t>& payload,
-                                std::uint8_t version) {
+                                const std::vector<std::uint8_t>& payload) {
   FrameHeader header;
-  header.version = version;
   header.type = type;
   header.payload_len = static_cast<std::uint32_t>(payload.size());
   header.request_id = request_id;
@@ -34,9 +32,8 @@ std::vector<std::uint8_t> frame(MsgType type, std::uint64_t request_id,
   return out;
 }
 
-std::vector<std::uint8_t> empty_frame(MsgType type, std::uint64_t request_id,
-                                      std::uint8_t version) {
-  return frame(type, request_id, 0, {}, version);
+std::vector<std::uint8_t> empty_frame(MsgType type, std::uint64_t request_id) {
+  return frame(type, request_id, 0, {});
 }
 
 }  // namespace
@@ -121,26 +118,22 @@ FrameHeader decode_header(const std::uint8_t* data, std::size_t size) {
     throw ProtocolError(WireCode::kMalformedFrame,
                         "bad magic 0x" + std::to_string(header.magic) +
                             " (stream out of sync)");
-  if (header.version < kMinProtocolVersion ||
-      header.version > kProtocolVersion)
+  if (header.version != kProtocolVersion)
     throw ProtocolError(WireCode::kUnsupportedVersion,
                         "protocol version " + std::to_string(header.version) +
                             " not supported (server speaks " +
-                            std::to_string(kMinProtocolVersion) + ".." +
                             std::to_string(kProtocolVersion) + ")");
   return header;
 }
 
 // --- encoders -------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_hello(std::uint64_t request_id,
-                                       std::uint8_t version) {
-  return empty_frame(MsgType::kHello, request_id, version);
+std::vector<std::uint8_t> encode_hello(std::uint64_t request_id) {
+  return empty_frame(MsgType::kHello, request_id);
 }
 
 std::vector<std::uint8_t> encode_hello_reply(std::uint64_t request_id,
-                                             const HelloReply& reply,
-                                             std::uint8_t version) {
+                                             const HelloReply& reply) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u8(reply.protocol_version);
@@ -149,113 +142,92 @@ std::vector<std::uint8_t> encode_hello_reply(std::uint64_t request_id,
   w.u32(reply.max_frame_bytes);
   w.u64(reply.generation);
   w.str(reply.backend);
-  return frame(MsgType::kHelloReply, request_id, 0, payload, version);
+  return frame(MsgType::kHelloReply, request_id, 0, payload);
 }
 
 std::vector<std::uint8_t> encode_query(std::uint64_t request_id,
-                                       const QueryRequest& request,
-                                       std::uint8_t version) {
+                                       const QueryRequest& request) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u32(request.k);
   w.u32(request.deadline_us);
   w.u32(static_cast<std::uint32_t>(request.digits.size()));
   for (const auto d : request.digits) w.u16(d);
-  return frame(MsgType::kQuery, request_id, 0, payload, version);
+  return frame(MsgType::kQuery, request_id, 0, payload);
 }
 
 std::vector<std::uint8_t> encode_query_reply(std::uint64_t request_id,
                                              std::uint64_t trace_id,
-                                             const QueryReply& reply,
-                                             std::uint8_t version) {
+                                             const QueryReply& reply) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u8(static_cast<std::uint8_t>(reply.code));
   w.u64(reply.generation);
-  if (version >= 2) {
-    w.u8(static_cast<std::uint8_t>(reply.metric));
-    w.u32(static_cast<std::uint32_t>(reply.entries.size()));
-    for (const auto& e : reply.entries) {
-      w.i32(e.row);
-      w.f64(e.score);
-    }
-  } else {
-    // v1 dialect: integer scores, no metric id.  Scores truncate toward
-    // zero, which is lossless for the integer-valued mismatch/L1 metrics v1
-    // deployments serve.
-    w.u32(static_cast<std::uint32_t>(reply.entries.size()));
-    for (const auto& e : reply.entries) {
-      w.i32(e.row);
-      w.i32(static_cast<std::int32_t>(e.score));
-    }
+  w.u8(static_cast<std::uint8_t>(reply.metric));
+  w.u32(static_cast<std::uint32_t>(reply.entries.size()));
+  for (const auto& e : reply.entries) {
+    w.i32(e.row);
+    w.f64(e.score);
   }
-  return frame(MsgType::kQueryReply, request_id, trace_id, payload, version);
+  return frame(MsgType::kQueryReply, request_id, trace_id, payload);
 }
 
 std::vector<std::uint8_t> encode_store(std::uint64_t request_id,
-                                       const StoreRequest& request,
-                                       std::uint8_t version) {
+                                       const StoreRequest& request) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u32(static_cast<std::uint32_t>(request.digits.size()));
   for (const auto d : request.digits) w.u16(d);
-  return frame(MsgType::kStore, request_id, 0, payload, version);
+  return frame(MsgType::kStore, request_id, 0, payload);
 }
 
 std::vector<std::uint8_t> encode_store_reply(std::uint64_t request_id,
-                                             const StoreReply& reply,
-                                             std::uint8_t version) {
+                                             const StoreReply& reply) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.i32(reply.row);
   w.u64(reply.generation);
-  return frame(MsgType::kStoreReply, request_id, 0, payload, version);
+  return frame(MsgType::kStoreReply, request_id, 0, payload);
 }
 
 std::vector<std::uint8_t> encode_store_batch(std::uint64_t request_id,
-                                             const StoreBatchRequest& request,
-                                             std::uint8_t version) {
+                                             const StoreBatchRequest& request) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u32(request.rows());
   w.u32(request.digits_per_row);
   for (const auto d : request.digits) w.u16(d);
-  return frame(MsgType::kStoreBatch, request_id, 0, payload, version);
+  return frame(MsgType::kStoreBatch, request_id, 0, payload);
 }
 
-std::vector<std::uint8_t> encode_store_batch_reply(std::uint64_t request_id,
-                                                   const StoreBatchReply& reply,
-                                                   std::uint8_t version) {
+std::vector<std::uint8_t> encode_store_batch_reply(
+    std::uint64_t request_id, const StoreBatchReply& reply) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u32(reply.rows);
   w.i32(reply.first_row);
   w.u64(reply.generation);
-  return frame(MsgType::kStoreBatchReply, request_id, 0, payload, version);
+  return frame(MsgType::kStoreBatchReply, request_id, 0, payload);
 }
 
-std::vector<std::uint8_t> encode_clear(std::uint64_t request_id,
-                                       std::uint8_t version) {
-  return empty_frame(MsgType::kClear, request_id, version);
+std::vector<std::uint8_t> encode_clear(std::uint64_t request_id) {
+  return empty_frame(MsgType::kClear, request_id);
 }
 
 std::vector<std::uint8_t> encode_clear_reply(std::uint64_t request_id,
-                                             const ClearReply& reply,
-                                             std::uint8_t version) {
+                                             const ClearReply& reply) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u64(reply.generation);
-  return frame(MsgType::kClearReply, request_id, 0, payload, version);
+  return frame(MsgType::kClearReply, request_id, 0, payload);
 }
 
-std::vector<std::uint8_t> encode_stats(std::uint64_t request_id,
-                                       std::uint8_t version) {
-  return empty_frame(MsgType::kStats, request_id, version);
+std::vector<std::uint8_t> encode_stats(std::uint64_t request_id) {
+  return empty_frame(MsgType::kStats, request_id);
 }
 
 std::vector<std::uint8_t> encode_stats_reply(std::uint64_t request_id,
-                                             const StatsReply& reply,
-                                             std::uint8_t version) {
+                                             const StatsReply& reply) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u64(reply.queries);
@@ -273,46 +245,41 @@ std::vector<std::uint8_t> encode_stats_reply(std::uint64_t request_id,
   w.f64(reply.qps);
   w.f64(reply.p50_s);
   w.f64(reply.p99_s);
-  if (version >= 3) {
-    w.f64(reply.queue_wait_p50_s);
-    w.f64(reply.queue_wait_p99_s);
-    w.f64(reply.batch_wait_p50_s);
-    w.f64(reply.batch_wait_p99_s);
-    w.f64(reply.scan_p50_s);
-    w.f64(reply.scan_p99_s);
-    w.f64(reply.merge_p50_s);
-    w.f64(reply.merge_p99_s);
-  }
-  return frame(MsgType::kStatsReply, request_id, 0, payload, version);
+  w.f64(reply.queue_wait_p50_s);
+  w.f64(reply.queue_wait_p99_s);
+  w.f64(reply.batch_wait_p50_s);
+  w.f64(reply.batch_wait_p99_s);
+  w.f64(reply.scan_p50_s);
+  w.f64(reply.scan_p99_s);
+  w.f64(reply.merge_p50_s);
+  w.f64(reply.merge_p99_s);
+  return frame(MsgType::kStatsReply, request_id, 0, payload);
 }
 
 std::vector<std::uint8_t> encode_metrics(std::uint64_t request_id,
-                                         const MetricsRequest& request,
-                                         std::uint8_t version) {
+                                         const MetricsRequest& request) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u8(static_cast<std::uint8_t>(request.format));
-  return frame(MsgType::kMetrics, request_id, 0, payload, version);
+  return frame(MsgType::kMetrics, request_id, 0, payload);
 }
 
 std::vector<std::uint8_t> encode_metrics_reply(std::uint64_t request_id,
-                                               const MetricsReply& reply,
-                                               std::uint8_t version) {
+                                               const MetricsReply& reply) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u8(static_cast<std::uint8_t>(reply.format));
   w.str(reply.text);
-  return frame(MsgType::kMetricsReply, request_id, 0, payload, version);
+  return frame(MsgType::kMetricsReply, request_id, 0, payload);
 }
 
 std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
-                                       const ErrorReply& reply,
-                                       std::uint8_t version) {
+                                       const ErrorReply& reply) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);
   w.u8(static_cast<std::uint8_t>(reply.code));
   w.str(reply.message);
-  return frame(MsgType::kError, request_id, 0, payload, version);
+  return frame(MsgType::kError, request_id, 0, payload);
 }
 
 // --- decoders -------------------------------------------------------------
@@ -344,39 +311,26 @@ QueryRequest decode_query(const std::uint8_t* payload, std::size_t size) {
   return request;
 }
 
-QueryReply decode_query_reply(const std::uint8_t* payload, std::size_t size,
-                              std::uint8_t version) {
+QueryReply decode_query_reply(const std::uint8_t* payload, std::size_t size) {
   WireReader r(payload, size);
   QueryReply reply;
   reply.code = static_cast<WireCode>(r.u8("query_reply.code"));
   reply.generation = r.u64("query_reply.generation");
-  if (version >= 2) {
-    const std::uint8_t metric_id = r.u8("query_reply.metric");
-    try {
-      reply.metric = core::metric_from_wire(metric_id);
-    } catch (const std::exception& e) {
-      throw ProtocolError(WireCode::kMalformedFrame,
-                          std::string("query_reply.metric: ") + e.what());
-    }
-    const std::uint32_t n = r.u32("query_reply.entry_count");
-    check_count(n, 12, r.remaining(), "query_reply.entry_count");
-    reply.entries.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      core::TopKEntry e;
-      e.row = r.i32("query_reply.row");
-      e.score = r.f64("query_reply.score");
-      reply.entries.push_back(e);
-    }
-  } else {
-    const std::uint32_t n = r.u32("query_reply.entry_count");
-    check_count(n, 8, r.remaining(), "query_reply.entry_count");
-    reply.entries.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      core::TopKEntry e;
-      e.row = r.i32("query_reply.row");
-      e.score = static_cast<double>(r.i32("query_reply.distance"));
-      reply.entries.push_back(e);
-    }
+  const std::uint8_t metric_id = r.u8("query_reply.metric");
+  try {
+    reply.metric = core::metric_from_wire(metric_id);
+  } catch (const std::exception& e) {
+    throw ProtocolError(WireCode::kMalformedFrame,
+                        std::string("query_reply.metric: ") + e.what());
+  }
+  const std::uint32_t n = r.u32("query_reply.entry_count");
+  check_count(n, 12, r.remaining(), "query_reply.entry_count");
+  reply.entries.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    core::TopKEntry e;
+    e.row = r.i32("query_reply.row");
+    e.score = r.f64("query_reply.score");
+    reply.entries.push_back(e);
   }
   r.expect_empty("query_reply");
   return reply;
@@ -445,8 +399,7 @@ ClearReply decode_clear_reply(const std::uint8_t* payload, std::size_t size) {
   return reply;
 }
 
-StatsReply decode_stats_reply(const std::uint8_t* payload, std::size_t size,
-                              std::uint8_t version) {
+StatsReply decode_stats_reply(const std::uint8_t* payload, std::size_t size) {
   WireReader r(payload, size);
   StatsReply reply;
   reply.queries = r.u64("stats.queries");
@@ -464,16 +417,14 @@ StatsReply decode_stats_reply(const std::uint8_t* payload, std::size_t size,
   reply.qps = r.f64("stats.qps");
   reply.p50_s = r.f64("stats.p50_s");
   reply.p99_s = r.f64("stats.p99_s");
-  if (version >= 3) {
-    reply.queue_wait_p50_s = r.f64("stats.queue_wait_p50_s");
-    reply.queue_wait_p99_s = r.f64("stats.queue_wait_p99_s");
-    reply.batch_wait_p50_s = r.f64("stats.batch_wait_p50_s");
-    reply.batch_wait_p99_s = r.f64("stats.batch_wait_p99_s");
-    reply.scan_p50_s = r.f64("stats.scan_p50_s");
-    reply.scan_p99_s = r.f64("stats.scan_p99_s");
-    reply.merge_p50_s = r.f64("stats.merge_p50_s");
-    reply.merge_p99_s = r.f64("stats.merge_p99_s");
-  }
+  reply.queue_wait_p50_s = r.f64("stats.queue_wait_p50_s");
+  reply.queue_wait_p99_s = r.f64("stats.queue_wait_p99_s");
+  reply.batch_wait_p50_s = r.f64("stats.batch_wait_p50_s");
+  reply.batch_wait_p99_s = r.f64("stats.batch_wait_p99_s");
+  reply.scan_p50_s = r.f64("stats.scan_p50_s");
+  reply.scan_p99_s = r.f64("stats.scan_p99_s");
+  reply.merge_p50_s = r.f64("stats.merge_p50_s");
+  reply.merge_p99_s = r.f64("stats.merge_p99_s");
   r.expect_empty("stats_reply");
   return reply;
 }

@@ -6,10 +6,8 @@
 //   offset  size  field         notes
 //   ------  ----  -----------   ----------------------------------------
 //        0     2  magic         0x54AD ("TD-AM"), rejects line noise
-//        2     1  version       kMinProtocolVersion..kProtocolVersion;
-//                               anything else is an error.  Replies are
-//                               stamped with the REQUEST's version, so a
-//                               v1 client always hears v1 frames
+//        2     1  version       kProtocolVersion; any other byte is
+//                               answered with kUnsupportedVersion
 //        3     1  type          MsgType
 //        4     4  payload_len   bytes after the header (may be 0)
 //        8     8  request_id    client-chosen, echoed verbatim in replies
@@ -38,23 +36,11 @@
 // ProtocolError (carrying the WireCode a server should answer with) on any
 // bounds violation, bad magic/version, or inconsistent inner lengths.
 //
-// Version history:
-//   v1 — QUERY replies carry per-entry {i32 row, i32 distance}.
-//   v2 — the score redesign: QUERY replies carry the index's metric id
-//        (core::DigitMetric wire value) and per-entry {i32 row, f64 score},
-//        so similarity metrics survive the wire exactly.  Every other
-//        payload is byte-identical to v1.  Servers answer each request in
-//        the version its header carried: v1 clients still get the integer
-//        encoding (scores truncated toward zero), v2 clients get float64
-//        scores + metric id.
-//   v3 — observability: the METRICS/METRICS_REPLY pair (full registry
-//        export over the query socket — Prometheus text, JSON, or the
-//        trace/slow-query dump — so a scrape needs no second port), and
-//        STATS replies grow per-stage p50/p99 doubles (queue_wait,
-//        batch_wait, scan, merge) after the v2 fields.  v1/v2 STATS
-//        payloads are byte-identical to before; a METRICS request in a
-//        v1/v2 header is answered with kUnknownType, exactly as an old
-//        server would answer it.
+// One version: every frame carries kProtocolVersion (3), and a server
+// answers any other version byte with an ERROR/kUnsupportedVersion frame
+// before hanging up (framing cannot be trusted past it).  Versions 1 and 2
+// (integer QUERY scores; no METRICS message, short STATS replies) are
+// retired; every client of this protocol is built from this tree.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +56,6 @@ namespace tdam::net {
 
 inline constexpr std::uint16_t kMagic = 0x54AD;
 inline constexpr std::uint8_t kProtocolVersion = 3;
-// Oldest version still decoded; servers answer v1 requests with v1 frames.
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 24;
 // Default cap a server enforces on payload_len (TcpServerOptions can lower
 // or raise it); protects the per-connection buffer from hostile lengths.
@@ -91,7 +75,7 @@ enum class MsgType : std::uint8_t {
   kError = 11,
   kStoreBatch = 12,
   kStoreBatchReply = 13,
-  kMetrics = 14,       // v3+: full observability export over the socket
+  kMetrics = 14,       // full observability export over the socket
   kMetricsReply = 15,
 };
 
@@ -161,7 +145,7 @@ struct QueryReply {
   WireCode code = WireCode::kInternal;
   std::uint64_t generation = 0;
   // The serving index's metric: tells the client how to order/interpret the
-  // scores.  On the wire from v2 on; a v1 decode leaves the default.
+  // scores.
   core::DigitMetric metric = core::DigitMetric::kMismatchCount;
   std::vector<core::TopKEntry> entries;  // present iff code == kOk
 };
@@ -215,9 +199,8 @@ struct StatsReply {
   double qps = 0.0;    // cumulative engine throughput
   double p50_s = 0.0;  // per-query wall latency quantiles (engine-side)
   double p99_s = 0.0;
-  // v3+: per-stage latency quantiles, so a dashboard can split a latency
+  // Per-stage latency quantiles, so a dashboard can split a latency
   // regression into queueing vs. scanning without scraping Prometheus.
-  // A v1/v2 decode leaves them 0.
   double queue_wait_p50_s = 0.0;
   double queue_wait_p99_s = 0.0;
   double batch_wait_p50_s = 0.0;
@@ -228,7 +211,7 @@ struct StatsReply {
   double merge_p99_s = 0.0;
 };
 
-// METRICS request/reply (v3+): the server renders its whole metrics
+// METRICS request/reply: the server renders its whole metrics
 // registry — plus trace/slow-query state where the format includes it — as
 // one text blob.  Large (can be hundreds of KiB with fine-grained
 // histograms): the reply is exempt from the server's inbound frame cap,
@@ -332,71 +315,48 @@ class WireReader {
 void encode_header(const FrameHeader& header, std::vector<std::uint8_t>& out);
 
 // Parses (and validates magic/version) the first kHeaderBytes of `data`.
-// Size below kHeaderBytes, wrong magic, or an out-of-range version throw
-// ProtocolError with kMalformedFrame / kUnsupportedVersion (any version in
-// [kMinProtocolVersion, kProtocolVersion] is accepted).  payload_len is NOT
-// checked against any cap here — the transport owns that policy.
+// Size below kHeaderBytes, wrong magic, or any version other than
+// kProtocolVersion throw ProtocolError with kMalformedFrame /
+// kUnsupportedVersion.  payload_len is NOT checked against any cap here —
+// the transport owns that policy.
 FrameHeader decode_header(const std::uint8_t* data, std::size_t size);
 
 // Frame builders: header + typed payload in one buffer, payload_len filled
 // in.  `request_id` is echoed; `trace_id` only applies to query replies.
-// `version` stamps the frame header — a server passes the version the
-// request arrived with so every reply speaks the client's dialect; clients
-// pass the version they want to speak (default: newest).  Only the QUERY
-// reply payload actually differs between versions.
-std::vector<std::uint8_t> encode_hello(std::uint64_t request_id,
-                                       std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_hello(std::uint64_t request_id);
 std::vector<std::uint8_t> encode_hello_reply(
-    std::uint64_t request_id, const HelloReply& reply,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const HelloReply& reply);
 std::vector<std::uint8_t> encode_query(std::uint64_t request_id,
-                                       const QueryRequest& request,
-                                       std::uint8_t version = kProtocolVersion);
+                                       const QueryRequest& request);
 std::vector<std::uint8_t> encode_query_reply(
-    std::uint64_t request_id, std::uint64_t trace_id, const QueryReply& reply,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, std::uint64_t trace_id, const QueryReply& reply);
 std::vector<std::uint8_t> encode_store(std::uint64_t request_id,
-                                       const StoreRequest& request,
-                                       std::uint8_t version = kProtocolVersion);
+                                       const StoreRequest& request);
 std::vector<std::uint8_t> encode_store_reply(
-    std::uint64_t request_id, const StoreReply& reply,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const StoreReply& reply);
 std::vector<std::uint8_t> encode_store_batch(
-    std::uint64_t request_id, const StoreBatchRequest& request,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const StoreBatchRequest& request);
 std::vector<std::uint8_t> encode_store_batch_reply(
-    std::uint64_t request_id, const StoreBatchReply& reply,
-    std::uint8_t version = kProtocolVersion);
-std::vector<std::uint8_t> encode_clear(std::uint64_t request_id,
-                                       std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const StoreBatchReply& reply);
+std::vector<std::uint8_t> encode_clear(std::uint64_t request_id);
 std::vector<std::uint8_t> encode_clear_reply(
-    std::uint64_t request_id, const ClearReply& reply,
-    std::uint8_t version = kProtocolVersion);
-std::vector<std::uint8_t> encode_stats(std::uint64_t request_id,
-                                       std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const ClearReply& reply);
+std::vector<std::uint8_t> encode_stats(std::uint64_t request_id);
 std::vector<std::uint8_t> encode_stats_reply(
-    std::uint64_t request_id, const StatsReply& reply,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const StatsReply& reply);
 std::vector<std::uint8_t> encode_metrics(
-    std::uint64_t request_id, const MetricsRequest& request,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const MetricsRequest& request);
 std::vector<std::uint8_t> encode_metrics_reply(
-    std::uint64_t request_id, const MetricsReply& reply,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const MetricsReply& reply);
 std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
-                                       const ErrorReply& reply,
-                                       std::uint8_t version = kProtocolVersion);
+                                       const ErrorReply& reply);
 
 // Payload decoders (the caller already split the frame with decode_header).
 // All throw ProtocolError on truncation, inconsistent inner counts, or
 // trailing bytes.
 HelloReply decode_hello_reply(const std::uint8_t* payload, std::size_t size);
 QueryRequest decode_query(const std::uint8_t* payload, std::size_t size);
-// The QUERY reply payload is the one version-dependent schema: pass the
-// frame header's version so the right decoding is chosen (v1: i32 distance,
-// default metric; v2: metric id + f64 score).
-QueryReply decode_query_reply(const std::uint8_t* payload, std::size_t size,
-                              std::uint8_t version = kProtocolVersion);
+QueryReply decode_query_reply(const std::uint8_t* payload, std::size_t size);
 StoreRequest decode_store(const std::uint8_t* payload, std::size_t size);
 StoreReply decode_store_reply(const std::uint8_t* payload, std::size_t size);
 StoreBatchRequest decode_store_batch(const std::uint8_t* payload,
@@ -404,10 +364,7 @@ StoreBatchRequest decode_store_batch(const std::uint8_t* payload,
 StoreBatchReply decode_store_batch_reply(const std::uint8_t* payload,
                                          std::size_t size);
 ClearReply decode_clear_reply(const std::uint8_t* payload, std::size_t size);
-// The STATS reply payload grew in v3 (per-stage quantiles); pass the frame
-// header's version so the right suffix is expected.
-StatsReply decode_stats_reply(const std::uint8_t* payload, std::size_t size,
-                              std::uint8_t version = kProtocolVersion);
+StatsReply decode_stats_reply(const std::uint8_t* payload, std::size_t size);
 MetricsRequest decode_metrics(const std::uint8_t* payload, std::size_t size);
 MetricsReply decode_metrics_reply(const std::uint8_t* payload,
                                   std::size_t size);

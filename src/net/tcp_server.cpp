@@ -131,9 +131,6 @@ struct AmTcpServer::Impl {
   struct Request {
     std::shared_ptr<Connection> conn;
     MsgType type = MsgType::kHello;
-    // The version the request frame carried; every reply to it is encoded
-    // in this dialect, so v1 clients keep hearing v1 frames.
-    std::uint8_t version = kProtocolVersion;
     std::uint64_t request_id = 0;
     QueryRequest query;            // kQuery only
     StoreRequest store;            // kStore only
@@ -147,7 +144,6 @@ struct AmTcpServer::Impl {
 
   struct Completion {
     std::shared_ptr<Connection> conn;
-    std::uint8_t version = kProtocolVersion;
     std::uint64_t request_id = 0;
     std::future<runtime::ServedResult> future;
   };
@@ -342,13 +338,17 @@ struct AmTcpServer::Impl {
     send_out_frame(conn, std::move(frame));
   }
 
-  void send_out_frame(const std::shared_ptr<Connection>& conn,
-                      OutFrame frame) {
+  // `hang_up` marks the connection closing together with queueing its
+  // final frame, under the outbox lock handle_write checks `closing` under,
+  // so the I/O thread cannot hang up before that frame is written.
+  void send_out_frame(const std::shared_ptr<Connection>& conn, OutFrame frame,
+                      bool hang_up = false) {
     if (conn->closed.load(std::memory_order_acquire)) return;
     {
       std::lock_guard<std::mutex> lock(conn->out_mutex);
       conn->out_bytes.fetch_add(frame.bytes.size(), std::memory_order_relaxed);
       conn->outbox.push_back(std::move(frame));
+      if (hang_up) conn->closing = true;
     }
     frames_out->add(1.0);
     IoThread& t = *conn->io;
@@ -363,17 +363,17 @@ struct AmTcpServer::Impl {
   // continue (kMalformedFrame payloads can; a lost frame boundary cannot).
   void protocol_error(const std::shared_ptr<Connection>& conn,
                       std::uint64_t request_id, WireCode code,
-                      const std::string& message,
-                      std::uint8_t version = kProtocolVersion) {
+                      const std::string& message) {
     protocol_errors_total->add(1.0);
     if (const auto it =
             protocol_errors_by_code.find(static_cast<std::uint8_t>(code));
         it != protocol_errors_by_code.end())
       it->second->add(1.0);
-    ++conn->protocol_errors;
-    if (conn->protocol_errors >= opts.max_protocol_errors)
-      conn->closing = true;  // hang up once this final reply flushes
-    send_frame(conn, encode_error(request_id, {code, message}, version));
+    OutFrame frame;
+    frame.bytes = encode_error(request_id, {code, message});
+    // Hang up once this final reply flushes.
+    send_out_frame(conn, std::move(frame),
+                   ++conn->protocol_errors >= opts.max_protocol_errors);
   }
 
   // --- I/O loop -----------------------------------------------------------
@@ -607,7 +607,6 @@ struct AmTcpServer::Impl {
     Request request;
     request.conn = conn;
     request.type = header.type;
-    request.version = header.version;
     request.request_id = header.request_id;
     try {
       switch (header.type) {
@@ -630,10 +629,6 @@ struct AmTcpServer::Impl {
           break;
         }
         case MsgType::kMetrics:
-          if (header.version < 3)
-            throw ProtocolError(WireCode::kUnknownType,
-                                "METRICS requires protocol v3 (frame is v" +
-                                    std::to_string(header.version) + ")");
           request.metrics = decode_metrics(payload, size);
           break;
         case MsgType::kStore:
@@ -649,13 +644,12 @@ struct AmTcpServer::Impl {
                   std::to_string(static_cast<int>(header.type)));
       }
     } catch (const ProtocolError& e) {
-      protocol_error(conn, header.request_id, e.code, e.what(),
-                     header.version);
+      protocol_error(conn, header.request_id, e.code, e.what());
       return;  // connection survives a bad payload
     }
     if (!requests.push(std::move(request)))
       protocol_error(conn, header.request_id, WireCode::kRejected,
-                     "server shutting down", header.version);
+                     "server shutting down");
   }
 
   void handle_write(IoThread& t, const std::shared_ptr<Connection>& conn) {
@@ -716,8 +710,7 @@ struct AmTcpServer::Impl {
             static_cast<std::uint32_t>(opts.max_frame_bytes);
         reply.generation = am.generation();
         reply.backend = am.index().backend_name();
-        send_frame(request.conn, encode_hello_reply(request.request_id, reply,
-                                                    request.version));
+        send_frame(request.conn, encode_hello_reply(request.request_id, reply));
         return;
       }
       case MsgType::kQuery: {
@@ -736,12 +729,12 @@ struct AmTcpServer::Impl {
                 obs::steady_now_ns() - request.seed.enqueue_ns;
           auto future = am.submit(digits, static_cast<int>(request.query.k),
                                   deadline, request.seed);
-          completions.push(Completion{std::move(request.conn), request.version,
-                                      request.request_id, std::move(future)});
+          completions.push(Completion{std::move(request.conn),
+                                      request.request_id,
+                                      std::move(future)});
         } catch (const std::invalid_argument& e) {
           protocol_error(request.conn, request.request_id,
-                         WireCode::kInvalidArgument, e.what(),
-                         request.version);
+                         WireCode::kInvalidArgument, e.what());
         }
         return;
       }
@@ -752,12 +745,11 @@ struct AmTcpServer::Impl {
           StoreReply reply;
           reply.row = static_cast<std::int32_t>(am.store(digits));
           reply.generation = am.generation();
-          send_frame(request.conn, encode_store_reply(request.request_id,
-                                                      reply, request.version));
+          send_frame(request.conn,
+                     encode_store_reply(request.request_id, reply));
         } catch (const std::invalid_argument& e) {
           protocol_error(request.conn, request.request_id,
-                         WireCode::kInvalidArgument, e.what(),
-                         request.version);
+                         WireCode::kInvalidArgument, e.what());
         }
         return;
       }
@@ -776,24 +768,21 @@ struct AmTcpServer::Impl {
           }
           reply.generation = am.generation();
           send_frame(request.conn,
-                     encode_store_batch_reply(request.request_id, reply,
-                                              request.version));
+                     encode_store_batch_reply(request.request_id, reply));
         } catch (const std::invalid_argument& e) {
           // Rows before the bad one are already stored; the error names the
           // offending row so the client can account for the partial write.
           protocol_error(request.conn, request.request_id,
                          WireCode::kInvalidArgument,
                          "store_batch row " + std::to_string(reply.rows) +
-                             ": " + e.what(),
-                         request.version);
+                             ": " + e.what());
         }
         return;
       }
       case MsgType::kClear: {
         am.clear();
         send_frame(request.conn,
-                   encode_clear_reply(request.request_id, {am.generation()},
-                                      request.version));
+                   encode_clear_reply(request.request_id, {am.generation()}));
         return;
       }
       case MsgType::kStats: {
@@ -827,8 +816,7 @@ struct AmTcpServer::Impl {
         reply.scan_p99_s = q(snap.scan, 0.99);
         reply.merge_p50_s = q(snap.merge, 0.50);
         reply.merge_p99_s = q(snap.merge, 0.99);
-        send_frame(request.conn, encode_stats_reply(request.request_id, reply,
-                                                    request.version));
+        send_frame(request.conn, encode_stats_reply(request.request_id, reply));
         return;
       }
       case MsgType::kMetrics: {
@@ -848,15 +836,14 @@ struct AmTcpServer::Impl {
             break;
         }
         reply.text = out.str();
-        send_frame(request.conn, encode_metrics_reply(request.request_id,
-                                                      reply, request.version));
+        send_frame(request.conn,
+                   encode_metrics_reply(request.request_id, reply));
         return;
       }
       default:
         // dispatch_frame only forwards the seven request types.
         protocol_error(request.conn, request.request_id,
-                       WireCode::kUnknownType, "unroutable request",
-                       request.version);
+                       WireCode::kUnknownType, "unroutable request");
         return;
     }
   }
@@ -878,7 +865,7 @@ struct AmTcpServer::Impl {
           reply.entries = std::move(served.result.entries);
       } catch (const std::exception& e) {
         protocol_error(completion->conn, completion->request_id,
-                       WireCode::kInternal, e.what(), completion->version);
+                       WireCode::kInternal, e.what());
         continue;
       }
       // completion_wait: fulfillment to this thread picking the future up
@@ -886,8 +873,7 @@ struct AmTcpServer::Impl {
       const bool wire_traced = span.traced() && span.wire();
       if (wire_traced)
         span.completion_wait_ns = obs::steady_now_ns() - span.enqueue_ns;
-      auto bytes = encode_query_reply(completion->request_id, trace_id, reply,
-                                      completion->version);
+      auto bytes = encode_query_reply(completion->request_id, trace_id, reply);
       if (wire_traced) {
         span.encode_ns = obs::steady_now_ns() - span.enqueue_ns;
         send_frame(completion->conn, std::move(bytes), span);

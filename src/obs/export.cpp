@@ -136,10 +136,6 @@ const char* mode_name(TraceMode mode) {
   return "off";
 }
 
-const char* kind_name(HistogramKind kind) {
-  return kind == HistogramKind::kExponential ? "exponential" : "linear";
-}
-
 // One span object; the original server-stage fields come first so
 // pre-wire-tracing consumers keep parsing, the wire stages and metadata
 // append after.
@@ -216,8 +212,8 @@ void export_prometheus(std::ostream& out, const MetricsRegistry& registry) {
     emit_header(out, last_family, family, h->help(), "histogram");
     const HistogramSnapshot snap = h->snapshot();
 
-    // Cumulative buckets follow the instrument's edge vector (uniform or
-    // geometric): the first edge (lo) absorbs underflow, and +Inf picks up
+    // Cumulative buckets follow the instrument's geometric edge vector: the
+    // first edge (lo) absorbs underflow, and +Inf picks up
     // overflow so _count equals the +Inf bucket as the format requires.
     std::uint64_t cum = snap.underflow;
     std::pair<std::string, std::string> le{"le", fmt_double(snap.edges[0])};
@@ -272,7 +268,7 @@ void export_json(std::ostream& out, const MetricsRegistry& registry,
     json_labels(out, h->labels());
     out << ",\"lo\":" << fmt_double(snap.lo) << ",\"hi\":"
         << fmt_double(snap.hi) << ",\"bins\":" << snap.counts.size()
-        << ",\"kind\":\"" << kind_name(snap.kind) << "\",\"edges\":[";
+        << ",\"kind\":\"exponential\",\"edges\":[";
     for (std::size_t i = 0; i < snap.edges.size(); ++i) {
       if (i != 0) out << ',';
       out << fmt_double(snap.edges[i]);

@@ -9,10 +9,10 @@
 // newline) and HELP text (backslash, newline), and for histograms the
 // cumulative `_bucket{le="..."}` series ending in `le="+Inf"` plus `_sum`
 // and `_count`.  Our histograms bound their range explicitly, so the
-// bucket edges are the instrument's edge vector (uniform for linear
-// layouts, geometric for exponential ones) then +Inf — underflow mass is
-// inside the `le="<lo>"` bucket and overflow only in `+Inf`, keeping the
-// series cumulative and `_count` equal to the `+Inf` bucket.
+// bucket edges are the instrument's geometric edge vector then +Inf —
+// underflow mass is inside the `le="<lo>"` bucket and overflow only in
+// `+Inf`, keeping the series cumulative and `_count` equal to the `+Inf`
+// bucket.
 //
 // scripts/check_metrics_export.py validates both formats in CI (and as a
 // ctest) against the output of `examples/serving --async --stats

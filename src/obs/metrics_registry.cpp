@@ -26,14 +26,11 @@ double HistogramSnapshot::quantile(double p) const {
   const double rank = p * static_cast<double>(n);
   double cum = static_cast<double>(underflow);
   if (underflow > 0 && rank <= cum) return lo;
-  const bool have_edges = edges.size() == counts.size() + 1;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const double c = static_cast<double>(counts[i]);
     if (c > 0.0 && rank <= cum + c) {
       const double frac = std::clamp((rank - cum) / c, 0.0, 1.0);
-      if (have_edges)
-        return edges[i] + frac * (edges[i + 1] - edges[i]);
-      return lo + (static_cast<double>(i) + frac) * bin_width();
+      return edges[i] + frac * (edges[i + 1] - edges[i]);
     }
     cum += c;
   }
@@ -41,28 +38,20 @@ double HistogramSnapshot::quantile(double p) const {
 }
 
 Histogram::Histogram(std::string name, std::string help, Labels labels,
-                     HistogramKind kind, double lo, double hi,
-                     std::size_t bins)
-    : kind_(kind), lo_(lo), hi_(hi), name_(std::move(name)),
-      help_(std::move(help)), labels_(std::move(labels)) {
+                     double lo, double hi, std::size_t bins)
+    : lo_(lo), hi_(hi), name_(std::move(name)), help_(std::move(help)),
+      labels_(std::move(labels)) {
   if (!(hi > lo))
     throw std::invalid_argument("Histogram: hi must exceed lo");
   if (bins == 0)
     throw std::invalid_argument("Histogram: need at least one bin");
+  if (!(lo > 0.0))
+    throw std::invalid_argument("Histogram: exponential buckets need lo > 0");
   edges_.reserve(bins + 1);
-  if (kind_ == HistogramKind::kLinear) {
-    const double width = (hi - lo) / static_cast<double>(bins);
-    for (std::size_t i = 0; i < bins; ++i)
-      edges_.push_back(lo + static_cast<double>(i) * width);
-  } else {
-    if (!(lo > 0.0))
-      throw std::invalid_argument(
-          "Histogram: exponential buckets need lo > 0");
-    const double log_growth = std::log(hi / lo) / static_cast<double>(bins);
-    inv_log_growth_ = 1.0 / log_growth;
-    for (std::size_t i = 0; i < bins; ++i)
-      edges_.push_back(lo * std::exp(log_growth * static_cast<double>(i)));
-  }
+  const double log_growth = std::log(hi / lo) / static_cast<double>(bins);
+  inv_log_growth_ = 1.0 / log_growth;
+  for (std::size_t i = 0; i < bins; ++i)
+    edges_.push_back(lo * std::exp(log_growth * static_cast<double>(i)));
   edges_.push_back(hi);  // exact, whatever rounding the grid accumulated
   for (std::size_t i = 0; i < bins; ++i) counts_.emplace_back(0);
 }
@@ -79,7 +68,6 @@ HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
   snap.lo = lo_;
   snap.hi = hi_;
-  snap.kind = kind_;
   snap.edges = edges_;
   snap.counts.reserve(counts_.size());
   for (const auto& c : counts_)
@@ -143,11 +131,11 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
   return *gauges_.back();
 }
 
-Histogram& MetricsRegistry::histogram_impl(const std::string& name,
-                                           const std::string& help,
-                                           HistogramKind kind, double lo,
-                                           double hi, std::size_t bins,
-                                           Labels labels) {
+Histogram& MetricsRegistry::exponential_histogram(const std::string& name,
+                                                  const std::string& help,
+                                                  double lo, double hi,
+                                                  std::size_t bins,
+                                                  Labels labels) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto key = identity(name, labels);
   for (const auto& [k, e] : order_)
@@ -156,34 +144,16 @@ Histogram& MetricsRegistry::histogram_impl(const std::string& name,
         throw std::invalid_argument("MetricsRegistry: '" + name +
                                     "' already registered as a non-histogram");
       auto& h = *histograms_[e.index];
-      if (h.kind() != kind || h.lo() != lo || h.hi() != hi ||
-          h.bins() != bins)
+      if (h.lo() != lo || h.hi() != hi || h.bins() != bins)
         throw std::invalid_argument(
             "MetricsRegistry: '" + name +
             "' re-registered with different histogram geometry");
       return h;
     }
   histograms_.push_back(std::unique_ptr<Histogram>(
-      new Histogram(name, help, std::move(labels), kind, lo, hi, bins)));
+      new Histogram(name, help, std::move(labels), lo, hi, bins)));
   order_.emplace_back(key, Entry{Kind::kHistogram, histograms_.size() - 1});
   return *histograms_.back();
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::string& help, double lo,
-                                      double hi, std::size_t bins,
-                                      Labels labels) {
-  return histogram_impl(name, help, HistogramKind::kLinear, lo, hi, bins,
-                        std::move(labels));
-}
-
-Histogram& MetricsRegistry::exponential_histogram(const std::string& name,
-                                                  const std::string& help,
-                                                  double lo, double hi,
-                                                  std::size_t bins,
-                                                  Labels labels) {
-  return histogram_impl(name, help, HistogramKind::kExponential, lo, hi, bins,
-                        std::move(labels));
 }
 
 void MetricsRegistry::reset() {

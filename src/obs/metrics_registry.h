@@ -14,15 +14,14 @@
 //    written whole, so striping buys nothing.
 //  * Histogram  — fixed bins over [lo, hi) with atomic per-bin counts,
 //    under/overflow counts, and a running sum; observe() is one relaxed
-//    fetch_add plus one CAS-add.  Two bucket layouts share the class:
-//    kLinear (uniform width, the original geometry) and kExponential
-//    (geometric edges lo·g^i — constant *relative* resolution, so one
-//    instrument resolves p99s across the µs→s range that linear bins
-//    smear into a single bucket).  The exponential bin index is one log()
-//    call; both layouts stay lock-free.  snapshot() merges into a plain
-//    HistogramSnapshot whose quantile() mirrors util::Histogram semantics
-//    (uniform mass within a bin, clamps for under/overflow ranks, NaN when
-//    empty), generalized to the snapshot's explicit edge vector.
+//    fetch_add plus one CAS-add.  Bucket edges are geometric, lo·g^i —
+//    constant *relative* resolution, so one instrument resolves p99s
+//    across the µs→s range (and, at a few bins per octave, small integer
+//    counts such as batch sizes).  The bin index is one log() call.
+//    snapshot() merges into a plain HistogramSnapshot whose quantile()
+//    mirrors util::Histogram semantics (uniform mass within a bin, clamps
+//    for under/overflow ranks, NaN when empty), over the snapshot's
+//    explicit edge vector.
 //
 // Instruments are created through the registry (creation takes a mutex —
 // cold path only) and identified by (name, labels); re-requesting the same
@@ -138,8 +137,8 @@ class Gauge {
   Labels labels_;
 };
 
-// Bucket layout of a Histogram: uniform-width bins or geometric edges.
-enum class HistogramKind { kLinear, kExponential };
+// Bucket layout of a Histogram, named in every export: geometric edges.
+enum class HistogramKind { kExponential };
 
 // Merged, plain-value view of a Histogram at one scrape instant.  `edges`
 // always holds counts.size() + 1 monotone bucket boundaries (edges[0] == lo,
@@ -147,7 +146,7 @@ enum class HistogramKind { kLinear, kExponential };
 struct HistogramSnapshot {
   double lo = 0.0;
   double hi = 1.0;
-  HistogramKind kind = HistogramKind::kLinear;
+  HistogramKind kind = HistogramKind::kExponential;
   std::vector<double> edges;
   std::vector<std::uint64_t> counts;
   std::uint64_t underflow = 0;
@@ -158,11 +157,6 @@ struct HistogramSnapshot {
     std::uint64_t t = underflow + overflow;
     for (auto c : counts) t += c;
     return t;
-  }
-  // Mean width; exact for linear layouts, a convenience for exponential
-  // ones (per-bucket widths live in `edges`).
-  double bin_width() const {
-    return (hi - lo) / static_cast<double>(counts.size());
   }
   double mean() const {
     const auto t = total();
@@ -175,8 +169,8 @@ struct HistogramSnapshot {
 };
 
 // Fixed-bucket histogram with atomic cells: one fetch_add per observation.
-// The layout (linear or exponential edges) is fixed at creation; observe()
-// costs one division (linear) or one log() (exponential) to find the bin.
+// The geometric edges are fixed at creation; observe() costs one log() to
+// find the bin.
 class Histogram {
  public:
   void observe(double x) noexcept {
@@ -189,20 +183,14 @@ class Histogram {
       overflow_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    std::size_t bin;
-    if (kind_ == HistogramKind::kLinear) {
-      bin = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                     static_cast<double>(counts_.size()));
-    } else {
-      bin = exponential_bin(x);
-    }
+    std::size_t bin = exponential_bin(x);
     if (bin >= counts_.size()) bin = counts_.size() - 1;
     counts_[bin].fetch_add(1, std::memory_order_relaxed);
   }
 
   HistogramSnapshot snapshot() const;
 
-  HistogramKind kind() const { return kind_; }
+  HistogramKind kind() const { return HistogramKind::kExponential; }
   double lo() const { return lo_; }
   double hi() const { return hi_; }
   std::size_t bins() const { return counts_.size(); }
@@ -214,14 +202,13 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  Histogram(std::string name, std::string help, Labels labels,
-            HistogramKind kind, double lo, double hi, std::size_t bins);
+  Histogram(std::string name, std::string help, Labels labels, double lo,
+            double hi, std::size_t bins);
   void reset() noexcept;
   std::size_t exponential_bin(double x) const noexcept;
 
-  HistogramKind kind_;
   double lo_, hi_;
-  double inv_log_growth_ = 0.0;  // exponential: 1 / ln(edge growth factor)
+  double inv_log_growth_ = 0.0;  // 1 / ln(edge growth factor)
   std::vector<double> edges_;
   std::deque<std::atomic<std::uint64_t>> counts_;  // deque: atomics don't move
   std::atomic<std::uint64_t> underflow_{0};
@@ -230,10 +217,6 @@ class Histogram {
   std::string name_, help_;
   Labels labels_;
 };
-
-// The original class name, kept so call sites reading "linear histogram"
-// stay valid; the layout a given instrument uses is its kind().
-using LinearHistogram = Histogram;
 
 // Owns instruments; hands out stable pointers.  Creation/lookup serialize
 // on one mutex (cold); recording through the returned instruments never
@@ -246,17 +229,13 @@ class MetricsRegistry {
 
   // Idempotent by (name, labels): a second request with the same identity
   // returns the existing instrument; the same identity registered as a
-  // different kind (or a histogram with different geometry/layout) throws
+  // different kind (or a histogram with different geometry) throws
   // std::invalid_argument.  Names/labels are exported verbatim (the
   // Prometheus exporter sanitizes names and escapes label values).
   Counter& counter(const std::string& name, const std::string& help,
                    Labels labels = {});
   Gauge& gauge(const std::string& name, const std::string& help,
                Labels labels = {});
-  // Uniform bins over [lo, hi).
-  Histogram& histogram(const std::string& name, const std::string& help,
-                       double lo, double hi, std::size_t bins,
-                       Labels labels = {});
   // Geometric buckets lo·g^i over [lo, hi), lo > 0; constant relative
   // width, so the same instrument resolves microseconds and seconds.
   Histogram& exponential_histogram(const std::string& name,
@@ -283,9 +262,6 @@ class MetricsRegistry {
     std::size_t index;  // into the kind's store
   };
   static std::string identity(const std::string& name, const Labels& labels);
-  Histogram& histogram_impl(const std::string& name, const std::string& help,
-                            HistogramKind kind, double lo, double hi,
-                            std::size_t bins, Labels labels);
 
   mutable std::mutex mutex_;
   // unique_ptr: instruments hold atomics, so they never move once created —

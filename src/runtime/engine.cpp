@@ -26,100 +26,6 @@ SearchEngine::SearchEngine(const ShardedIndex& index, EngineOptions options)
   metrics_.ensure_shards(index_.num_shards());
 }
 
-namespace {
-
-// Segment broadcast + deterministic global merge, parameterised over how
-// one segment answers (unpacked digits or packed words — both land in the
-// same kernel layer inside the backend).  The snapshot is immutable, so
-// this reads it with no synchronisation at all.  on_shard(index, seconds)
-// reports each shard's scan wall time to the per-shard metric families.
-template <typename SearchSegment, typename OnShard>
-TopKResult merged_topk(const IndexSnapshot& snap, int index_stages,
-                       core::DigitMetric metric, int k,
-                       SearchSegment&& search_segment, OnShard&& on_shard) {
-  const auto t0 = std::chrono::steady_clock::now();
-  TopKResult out;
-  std::vector<core::TopKEntry> merged;
-  merged.reserve(static_cast<std::size_t>(k) *
-                 static_cast<std::size_t>(snap.segments));
-  const double stages = static_cast<double>(index_stages);
-  for (std::size_t shard_idx = 0; shard_idx < snap.shards.size();
-       ++shard_idx) {
-    const auto& shard = snap.shards[shard_idx];
-    const auto shard_t0 = std::chrono::steady_clock::now();
-    // A shard's segments share one physical bank: the bank answers them as
-    // sequential passes, so latency/energy/passes add up within the shard.
-    double shard_latency = 0.0, shard_energy = 0.0;
-    int shard_passes = 0;
-    for (const auto& seg : shard) {
-      if (seg->rows() == 0) continue;
-      const auto local = search_segment(seg->backend(), k);
-      for (const auto& e : local.entries)
-        merged.push_back({seg->global_id(e.row), e.score});
-      // Modeled hardware: for mismatch-family metrics each segment is
-      // costed by its own QueryCostModel hook at the measured mismatch
-      // fraction (clamped — an L1-metric backend can report a mean score
-      // above one per digit).  Similarity metrics have no mismatch
-      // fraction, so their segments are costed at 0 — similarity backends
-      // throw on anything else.
-      const double mismatch_fraction =
-          core::metric_is_mismatch_family(metric)
-              ? std::clamp(local.mean_score / stages, 0.0, 1.0)
-              : 0.0;
-      const auto cost = seg->backend().query_cost(mismatch_fraction);
-      shard_latency += cost.latency;
-      shard_energy += cost.energy;
-      shard_passes += cost.passes;
-    }
-    // Shards are physically parallel banks: latency is the slowest bank,
-    // energy sums over banks, passes report the worst bank's fold count.
-    out.modeled_latency = std::max(out.modeled_latency, shard_latency);
-    out.modeled_energy += shard_energy;
-    out.modeled_passes = std::max(out.modeled_passes, shard_passes);
-    on_shard(static_cast<int>(shard_idx), seconds_since(shard_t0));
-  }
-  out.scan_seconds = seconds_since(t0);
-  // Global merge under the same total order the segments used: score in the
-  // metric's direction, global row id breaks ties.
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto keep =
-      std::min<std::size_t>(static_cast<std::size_t>(k), merged.size());
-  std::partial_sort(merged.begin(),
-                    merged.begin() + static_cast<std::ptrdiff_t>(keep),
-                    merged.end(),
-                    core::ScoreComparator{core::metric_order(metric)});
-  merged.resize(keep);
-  out.entries = std::move(merged);
-  out.merge_seconds = seconds_since(t1);
-  out.wall_seconds = seconds_since(t0);
-  return out;
-}
-
-}  // namespace
-
-TopKResult SearchEngine::run_query(const IndexSnapshot& snap,
-                                   std::span<const int> query, int k) const {
-  return merged_topk(snap, index_.stages(), index_.metric(), k,
-                     [&](const core::SimilarityBackend& segment, int kk) {
-                       return segment.search_topk(query, kk);
-                     },
-                     [this](int shard, double seconds) {
-                       metrics_.record_shard_scan(shard, seconds);
-                     });
-}
-
-TopKResult SearchEngine::run_query_packed(
-    const IndexSnapshot& snap, std::span<const std::uint32_t> packed,
-    int k) const {
-  return merged_topk(snap, index_.stages(), index_.metric(), k,
-                     [&](const core::SimilarityBackend& segment, int kk) {
-                       return segment.search_topk_packed(packed, kk);
-                     },
-                     [this](int shard, double seconds) {
-                       metrics_.record_shard_scan(shard, seconds);
-                     });
-}
-
 void SearchEngine::run_tile_packed(const IndexSnapshot& snap,
                                    const core::DigitMatrix& queries, int first,
                                    int count, int k,
@@ -128,8 +34,10 @@ void SearchEngine::run_tile_packed(const IndexSnapshot& snap,
   const double stages = static_cast<double>(index_.stages());
   const auto metric = index_.metric();
   const auto n = static_cast<std::size_t>(count);
-  // Same cost folding as merged_topk, held per query: a shard's segments
-  // add up as sequential bank passes, shards fold as parallel banks.
+  // Modeled hardware, held per query: a shard's segments share one
+  // physical bank, so their costs add up as sequential passes; shards are
+  // parallel banks (latency is the slowest, energy sums, passes report the
+  // worst bank's fold count).
   std::vector<std::vector<core::TopKEntry>> merged(n);
   for (auto& m : merged)
     m.reserve(static_cast<std::size_t>(k) *
@@ -154,6 +62,12 @@ void SearchEngine::run_tile_packed(const IndexSnapshot& snap,
         const auto& local = locals[q];
         for (const auto& e : local.entries)
           merged[q].push_back({seg->global_id(e.row), e.score});
+        // For mismatch-family metrics each segment is costed by its own
+        // QueryCostModel hook at the measured mismatch fraction (clamped —
+        // an L1-metric backend can report a mean score above one per
+        // digit).  Similarity metrics have no mismatch fraction, so their
+        // segments are costed at 0 — similarity backends throw on anything
+        // else.
         const double mismatch_fraction =
             core::metric_is_mismatch_family(metric)
                 ? std::clamp(local.mean_score / stages, 0.0, 1.0)
@@ -172,8 +86,7 @@ void SearchEngine::run_tile_packed(const IndexSnapshot& snap,
                                        shard_passes[q]);
     }
     // The tile swept this shard once; charge each query an even share so
-    // the per-shard family counts one observation per query, same as the
-    // per-query path.
+    // the per-shard family counts one observation per query.
     const double shard_share =
         seconds_since(shard_t0) / static_cast<double>(count);
     for (int q = 0; q < count; ++q)
@@ -183,6 +96,8 @@ void SearchEngine::run_tile_packed(const IndexSnapshot& snap,
   // share so per-query stage histograms stay meaningful.
   const double scan_share = seconds_since(t0) / static_cast<double>(count);
   for (std::size_t q = 0; q < n; ++q) {
+    // Global merge under the same total order the segments used: score in
+    // the metric's direction, global row id breaks ties.
     const auto t1 = std::chrono::steady_clock::now();
     auto& m = merged[q];
     const auto keep =
@@ -213,88 +128,43 @@ std::vector<TopKResult> SearchEngine::submit_batch(
         "SearchEngine::submit_batch: queries have " +
         std::to_string(queries.cols()) + " digits, index stores " +
         std::to_string(index_.stages()));
+  // The segments scan queries packed exactly as they pack rows.  A batch
+  // built over another alphabet is repacked once into index geometry;
+  // append() rejects any digit outside the index's alphabet.
+  if (queries.levels() != index_.levels()) {
+    core::DigitMatrix repacked(index_.stages(), index_.levels());
+    std::vector<int> digits(static_cast<std::size_t>(index_.stages()));
+    for (int r = 0; r < queries.rows(); ++r) {
+      queries.unpack_row_into(r, digits);
+      repacked.append(digits);
+    }
+    return submit_batch(snap, repacked, k);
+  }
   const auto t0 = std::chrono::steady_clock::now();
   const auto n = static_cast<std::size_t>(queries.rows());
-  const auto stages = static_cast<std::size_t>(queries.cols());
   const IndexSnapshot& view = *snap;
   std::vector<TopKResult> results(n);
-  // Packed fast path: when the batch's field width matches the index's
-  // packing (and its digit alphabet fits), every query row is already the
-  // exact word sequence the segments' kernel scans consume — hand the
-  // packed words straight through, no unpack, no re-pack.
-  const bool packed_compatible =
-      queries.bits_per_digit() ==
-          core::DigitMatrix::field_bits(index_.levels()) &&
-      queries.levels() <= index_.levels();
+  // One task per query tile, each sweeping the segments once for its whole
+  // tile; results are bit-identical for any tile size and thread count
+  // (pinned by the runtime determinism tests).
+  const auto out = std::span<TopKResult>(results);
   const auto tile = static_cast<std::size_t>(std::max(1, index_.query_tile()));
-  if (packed_compatible && tile > 1) {
-    // Tiled fast path: one task per query tile, each sweeping the segments
-    // once for its whole tile (results are bit-identical to the per-query
-    // path for any tile size — pinned by the runtime determinism tests).
-    const auto out = std::span<TopKResult>(results);
-    if (pool_) {
-      std::vector<std::future<void>> pending;
-      pending.reserve((n + tile - 1) / tile);
-      for (std::size_t i = 0; i < n; i += tile) {
-        const auto count = std::min(tile, n - i);
-        pending.push_back(pool_->submit([this, &view, &queries, out, i, count,
-                                         k] {
-          run_tile_packed(view, queries, static_cast<int>(i),
-                          static_cast<int>(count), k, out.subspan(i, count));
-        }));
-      }
-      for (auto& f : pending) f.get();  // rethrows any task exception
-    } else {
-      for (std::size_t i = 0; i < n; i += tile) {
-        const auto count = std::min(tile, n - i);
-        run_tile_packed(view, queries, static_cast<int>(i),
-                        static_cast<int>(count), k, out.subspan(i, count));
-      }
-    }
-  } else if (packed_compatible) {
-    if (pool_) {
-      std::vector<std::future<void>> pending;
-      pending.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        pending.push_back(pool_->submit([this, &view, &queries, &results, i,
-                                         k] {
-          results[i] = run_query_packed(
-              view, queries.row_words(static_cast<int>(i)), k);
-        }));
-      }
-      for (auto& f : pending) f.get();  // rethrows any task exception
-    } else {
-      for (std::size_t i = 0; i < n; ++i)
-        results[i] = run_query_packed(
-            view, queries.row_words(static_cast<int>(i)), k);
-    }
+  const auto run_tile = [&](std::size_t first) {
+    const auto count = std::min(tile, n - first);
+    run_tile_packed(view, queries, static_cast<int>(first),
+                    static_cast<int>(count), k, out.subspan(first, count));
+  };
+  if (pool_) {
+    std::vector<std::future<void>> pending;
+    pending.reserve((n + tile - 1) / tile);
+    for (std::size_t i = 0; i < n; i += tile)
+      pending.push_back(pool_->submit([&run_tile, i] { run_tile(i); }));
+    // Every task finishes before the frame it references unwinds; only
+    // then rethrow the first task exception.
+    for (auto& f : pending) f.wait();
+    for (auto& f : pending) f.get();
   } else {
-    // One unpack arena for the whole batch: task i owns the disjoint slice
-    // [i*stages, (i+1)*stages), so no per-query heap allocation and no
-    // sharing between pool workers.
-    std::vector<int> arena(n * stages);
-    const auto digits_of = [&](std::size_t i) {
-      return std::span<int>(arena).subspan(i * stages, stages);
-    };
-    if (pool_) {
-      std::vector<std::future<void>> pending;
-      pending.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        pending.push_back(pool_->submit([this, &view, &queries, &results,
-                                         &digits_of, i, k] {
-          const auto digits = digits_of(i);
-          queries.unpack_row_into(static_cast<int>(i), digits);
-          results[i] = run_query(view, digits, k);
-        }));
-      }
-      for (auto& f : pending) f.get();  // rethrows any task exception
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto digits = digits_of(i);
-        queries.unpack_row_into(static_cast<int>(i), digits);
-        results[i] = run_query(view, digits, k);
-      }
-    }
+    for (std::size_t i = 0; i < n; i += tile) run_tile(i);
   }
 
   BatchStats stats;

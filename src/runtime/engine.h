@@ -1,19 +1,19 @@
 // Batched top-k query serving over a ShardedIndex — backend-agnostic.
 //
-// Execution model: on the packed fast path, one task per *query tile*
-// (index().query_tile() queries, the backend's ScanOptions knob); the task
-// broadcasts the whole tile to every segment of every shard
+// Execution model: one runner.  A batch is cut into *query tiles* of
+// index().query_tile() queries (the backend's ScanOptions knob; 1 for a
+// backend that answers query by query, e.g. behavioral — a tile of one is
+// just a tile).  Each tile is broadcast to every segment of every shard
+// through the one backend search hook
 // (core::SimilarityBackend::search_topk_packed_batch), so each stored
 // segment is streamed through the cache once per tile instead of once per
 // query.  Rows are translated to global ids and merged per query into a
-// global top-k with the deterministic tie-break (lower distance, then
-// lower global row id).  The unpacked fallback (and backends with
-// query_tile() == 1, e.g. behavioral) keep one task per query.  Tiles run
-// concurrently on a fixed ThreadPool; each query's result is written to
-// its own preallocated slot, so the returned batch is bit-identical for
-// any thread count and any tile size.  `threads = 1` bypasses the pool
-// entirely and is the sequential reference the determinism tests pin
-// against.
+// global top-k with the deterministic tie-break (score in the metric's
+// direction, then lower global row id).  Tiles run concurrently on a fixed
+// ThreadPool; each query's result is written to its own preallocated slot,
+// so the returned batch is bit-identical for any thread count and any tile
+// size.  `threads = 1` runs the tiles inline and is the sequential
+// reference the determinism tests pin against.
 //
 // Concurrency: a batch runs against one pinned IndexSnapshot — a single
 // atomic load, no lock — so stores, clears and compactions land freely
@@ -23,15 +23,16 @@
 // (and therefore the result) for a quiesced index is bit-identical to the
 // seed's single-bank engine.
 //
-// Query representation: the primary entry point takes queries packed in a
-// core::DigitMatrix (one contiguous buffer per batch; tasks unpack rows
-// into a shared arena, zero heap allocations per query).  The
-// span<const vector<int>> overload is a thin adapter that packs and
-// delegates, kept for callers that hold unpacked digits.
+// Query representation: queries arrive packed in a core::DigitMatrix (one
+// contiguous buffer per batch) and reach the kernels as packed words, never
+// unpacked.  A batch packed over another alphabet is repacked once into the
+// index's geometry.  The span<const vector<int>> overload is a thin adapter
+// that packs and delegates, kept for callers that hold unpacked digits.
 //
 // Cost accounting per query:
-//  * wall   — host time for the query task (recorded into ServingMetrics'
-//    latency histogram; batch wall time drives the QPS counter);
+//  * wall   — host time for the query: an even share of its tile's scan
+//    plus its own merge (recorded into ServingMetrics' latency histogram;
+//    batch wall time drives the QPS counter);
 //  * modeled hardware — each segment's QueryCostModel hook
 //    (core::SimilarityBackend::query_cost) at the *measured* per-segment
 //    mismatch fraction.  A shard's segments share one physical bank, so
@@ -88,11 +89,10 @@ class SearchEngine {
   // Answers every row of `queries` (cols() must equal index().stages())
   // with its global top-k against the current published snapshot.  k must
   // be >= 1; fewer than k entries come back when the index holds fewer
-  // rows.  Updates the serving metrics as a side effect.  This is the
-  // allocation-lean hot path: when the batch is packed with the index's
-  // field width, each query row is handed to the segments as packed words
-  // (SimilarityBackend::search_topk_packed), so the kernel layer scans
-  // without ever unpacking or re-packing digits.
+  // rows.  Updates the serving metrics as a side effect.  A batch packed
+  // over the index's alphabet goes to the segments as is; any other batch
+  // is repacked once, and a digit outside the index's alphabet throws
+  // std::invalid_argument.
   std::vector<TopKResult> submit_batch(const core::DigitMatrix& queries,
                                        int k);
 
@@ -115,15 +115,10 @@ class SearchEngine {
   void reset_metrics() { metrics_.reset(); }
 
  private:
-  TopKResult run_query(const IndexSnapshot& snap, std::span<const int> query,
-                       int k) const;
-  TopKResult run_query_packed(const IndexSnapshot& snap,
-                              std::span<const std::uint32_t> packed,
-                              int k) const;
-  // Tile counterpart of run_query_packed: answers queries
-  // [first, first+count) in one segment sweep and writes results into
-  // `out` (count slots, default-initialised).  Scan time is shared evenly
-  // across the tile's queries; merge time is per query.
+  // The runner: answers queries [first, first+count) of `queries` (packed
+  // in index geometry) in one segment sweep and writes results into `out`
+  // (count slots, default-initialised).  Scan time is shared evenly across
+  // the tile's queries; merge time is per query.
   void run_tile_packed(const IndexSnapshot& snap,
                        const core::DigitMatrix& queries, int first, int count,
                        int k, std::span<TopKResult> out) const;

@@ -1,5 +1,7 @@
 #include "runtime/metrics.h"
 
+#include <cmath>
+
 #include "util/table.h"
 
 namespace tdam::runtime {
@@ -9,6 +11,7 @@ namespace {
 // count as underflow (folded into the first Prometheus bucket), which is
 // exactly the "effectively instant" population.
 constexpr double kLatencyLo = 1e-6;
+constexpr double kBatchBinsPerOctave = 8.0;
 }  // namespace
 
 ServingMetrics::ServingMetrics(double latency_hi, std::size_t bins,
@@ -56,9 +59,11 @@ ServingMetrics::ServingMetrics(double latency_hi, std::size_t bins,
   wall_ = &registry_.exponential_histogram(
       "tdam_serving_wall_latency_seconds", "Per-query wall latency",
       kLatencyLo, latency_hi, bins);
-  batch_sizes_ = &registry_.histogram("tdam_serving_batch_size",
-                                      "Queries per micro-batch", 0.0,
-                                      static_cast<double>(batch_hi), batch_hi);
+  batch_sizes_ = &registry_.exponential_histogram(
+      "tdam_serving_batch_size", "Queries per micro-batch", 1.0,
+      static_cast<double>(batch_hi),
+      static_cast<std::size_t>(std::ceil(
+          kBatchBinsPerOctave * std::log2(static_cast<double>(batch_hi)))));
   const char* stage_help = "Per-query serving-stage duration";
   queue_wait_ = &registry_.exponential_histogram(
       "tdam_serving_stage_seconds", stage_help, kLatencyLo, latency_hi, bins,

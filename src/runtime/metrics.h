@@ -106,8 +106,9 @@ class ServingMetrics {
   // relative resolution, so one instrument resolves both the µs-scale scan
   // stages and ms-scale tail latencies that uniform bins smear together.
   // Samples slower than latency_hi land in the histogram overflow and
-  // quantiles clamp to latency_hi.  Batch sizes remain linear, binned
-  // one-per-bin over [0, batch_hi).
+  // quantiles clamp to latency_hi.  Batch sizes use exponential buckets
+  // over [1, batch_hi) at eight per octave (~9% wide), so quantiles of
+  // batches below ~11 queries resolve to within one query.
   explicit ServingMetrics(double latency_hi = 0.25, std::size_t bins = 4096,
                           std::size_t batch_hi = 1024);
 

@@ -163,20 +163,10 @@ class ShardedIndex::Impl {
     info.rows = static_cast<std::uint64_t>(snap->rows);
     std::vector<core::SavedSegment> saved;
     saved.reserve(static_cast<std::size_t>(snap->segments));
-    // Fallback packs for backends without a packed_view (none in-tree);
-    // unique_ptrs so SavedSegment spans survive vector growth.
-    std::vector<std::unique_ptr<core::DigitMatrix>> repacked;
     for (int s = 0; s < snap->num_shards(); ++s) {
       for (const auto& seg : snap->shards[static_cast<std::size_t>(s)]) {
         if (seg->rows() == 0) continue;
         const core::DigitMatrix* m = seg->backend().packed_view();
-        if (m == nullptr) {
-          auto tmp = std::make_unique<core::DigitMatrix>(stages_, levels_);
-          for (int r = 0; r < seg->rows(); ++r)
-            tmp->append(seg->backend().row_digits(r));
-          repacked.push_back(std::move(tmp));
-          m = repacked.back().get();
-        }
         saved.push_back(core::SavedSegment{
             s, seg->global_ids(),
             {m->words_data(), static_cast<std::size_t>(m->rows()) *

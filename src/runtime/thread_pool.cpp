@@ -47,10 +47,6 @@ void ThreadPool::worker_loop() {
       queue_.pop();
     }
     task();  // packaged_task captures any exception in the future
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++completed_;
-    }
   }
 }
 

@@ -39,7 +39,14 @@ class ThreadPool {
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn&>> {
     using Result = std::invoke_result_t<Fn&>;
-    auto task = std::packaged_task<Result()>(std::forward<Fn>(fn));
+    // The task is counted inside the callable, before packaged_task makes
+    // the future ready (or stores its exception), so a caller that has
+    // get() every future also sees every task in completed().
+    auto task = std::packaged_task<Result()>(
+        [this, f = std::forward<Fn>(fn)]() mutable -> Result {
+          const CountOnExit count{*this};
+          return f();
+        });
     auto future = task.get_future();
     enqueue(std::packaged_task<void()>(
         [t = std::move(task)]() mutable { t(); }));
@@ -50,6 +57,14 @@ class ThreadPool {
   std::size_t completed() const;
 
  private:
+  struct CountOnExit {
+    ThreadPool& pool;
+    ~CountOnExit() {
+      std::lock_guard<std::mutex> lock(pool.mutex_);
+      ++pool.completed_;
+    }
+  };
+
   void enqueue(std::packaged_task<void()> task);
   void worker_loop();
 

@@ -1,8 +1,7 @@
 // Layer-0 score contract tests: metric metadata (names, wire ids, ordering
 // direction, mismatch-family flag), the deterministic (score, row) total
-// order, the canonical cosine_score expression, the cosine backend's cached
-// norms through clear/re-store, and the deprecated integer-distance
-// adapters kept for out-of-tree callers.
+// order, the canonical cosine_score expression, and the cosine backend's
+// cached norms through clear/re-store.
 #include "core/backend.h"
 
 #include <gtest/gtest.h>
@@ -122,33 +121,6 @@ TEST(CoreScoreContract, SimilarityBackendsRejectNonzeroMismatchFraction) {
   EXPECT_THROW(dot.query_cost(0.1), std::invalid_argument);
   EXPECT_THROW(cosine.query_cost(-0.1), std::invalid_argument);
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(CoreScoreContract, DeprecatedIntAdaptersTruncateScores) {
-  // The migration shims for out-of-tree callers: same rows, scores
-  // truncated to int, mean_score surfaced as mean_distance.
-  ExactL1Backend backend(4, 4, DigitMetric::kL1);
-  backend.store(std::vector<int>{0, 0, 0, 0});
-  backend.store(std::vector<int>{3, 3, 3, 3});
-  const std::vector<int> query{1, 0, 0, 0};
-  const auto modern = backend.search_topk(query, 2);
-  const auto legacy = search_topk_int(backend, query, 2);
-  ASSERT_EQ(legacy.entries.size(), modern.entries.size());
-  for (std::size_t i = 0; i < legacy.entries.size(); ++i) {
-    EXPECT_EQ(legacy.entries[i].row, modern.entries[i].row);
-    EXPECT_EQ(legacy.entries[i].distance,
-              static_cast<int>(modern.entries[i].score));
-  }
-  EXPECT_DOUBLE_EQ(legacy.mean_distance, modern.mean_score);
-
-  const auto packed_legacy =
-      search_topk_packed_int(backend, DigitMatrix(4, 4).pack(query), 2);
-  ASSERT_EQ(packed_legacy.entries.size(), legacy.entries.size());
-  for (std::size_t i = 0; i < legacy.entries.size(); ++i)
-    EXPECT_EQ(packed_legacy.entries[i].distance, legacy.entries[i].distance);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace tdam::core

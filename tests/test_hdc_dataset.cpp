@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
 
 namespace tdam::hdc {
 namespace {
@@ -41,15 +43,18 @@ TEST(Dataset, NormalizationZeroesMeanUnitVariance) {
   EXPECT_NEAR(post.inv_std[1], 1.0, 1e-3);
 }
 
+// std::string, not const char*: gtest prints a char pointer with its
+// address, which ASLR changes on every test discovery, so the registered
+// test names would differ from build to build.
 class NamedGenerators
-    : public ::testing::TestWithParam<std::tuple<const char*, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
 
 TEST_P(NamedGenerators, ShapesMatchPaperDatasets) {
   const auto [name, features, classes] = GetParam();
   Rng rng(2);
   TrainTestSplit split = [&] {
-    if (std::string(name) == "isolet") return make_isolet_like(rng, 300, 100);
-    if (std::string(name) == "ucihar") return make_ucihar_like(rng, 300, 100);
+    if (name == "isolet") return make_isolet_like(rng, 300, 100);
+    if (name == "ucihar") return make_ucihar_like(rng, 300, 100);
     return make_face_like(rng, 300, 100);
   }();
   EXPECT_EQ(split.train.num_features(), features);
@@ -66,9 +71,9 @@ TEST_P(NamedGenerators, ShapesMatchPaperDatasets) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperShapes, NamedGenerators,
-    ::testing::Values(std::make_tuple("isolet", 617, 26),
-                      std::make_tuple("ucihar", 561, 6),
-                      std::make_tuple("face", 608, 2)));
+    ::testing::Values(std::make_tuple(std::string("isolet"), 617, 26),
+                      std::make_tuple(std::string("ucihar"), 561, 6),
+                      std::make_tuple(std::string("face"), 608, 2)));
 
 TEST(Generators, DeterministicForSameSeed) {
   Rng a(3), b(3);

@@ -40,20 +40,20 @@ TEST(ObsRegistry, KindAndGeometryMismatchesThrow) {
   MetricsRegistry reg;
   reg.counter("x", "a counter");
   EXPECT_THROW(reg.gauge("x", "now a gauge"), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("x", "now a histogram", 0.0, 1.0, 4),
+  EXPECT_THROW(reg.exponential_histogram("x", "now a histogram", 1e-3, 1.0, 4),
                std::invalid_argument);
-  reg.histogram("h", "a histogram", 0.0, 1.0, 4);
-  EXPECT_THROW(reg.histogram("h", "different bins", 0.0, 1.0, 8),
+  reg.exponential_histogram("h", "a histogram", 1e-3, 1.0, 4);
+  EXPECT_THROW(reg.exponential_histogram("h", "different bins", 1e-3, 1.0, 8),
                std::invalid_argument);
-  EXPECT_THROW(reg.histogram("h", "different range", 0.0, 2.0, 4),
+  EXPECT_THROW(reg.exponential_histogram("h", "different range", 1e-3, 2.0, 4),
                std::invalid_argument);
-  EXPECT_NO_THROW(reg.histogram("h", "same geometry", 0.0, 1.0, 4));
-  // Layout is part of the geometry: a linear re-request of an exponential
-  // instrument (or vice versa) is a conflict, not a silent alias.
-  reg.exponential_histogram("x2", "exp", 1e-3, 1.0, 4);
-  EXPECT_THROW(reg.histogram("x2", "now linear", 1e-3, 1.0, 4),
+  EXPECT_THROW(reg.exponential_histogram("h", "different lo", 1e-4, 1.0, 4),
                std::invalid_argument);
-  EXPECT_NO_THROW(reg.exponential_histogram("x2", "same", 1e-3, 1.0, 4));
+  EXPECT_NO_THROW(
+      reg.exponential_histogram("h", "same geometry", 1e-3, 1.0, 4));
+  // Geometric edges need a positive lower edge.
+  EXPECT_THROW(reg.exponential_histogram("z", "zero lo", 0.0, 1.0, 4),
+               std::invalid_argument);
 }
 
 TEST(ObsRegistry, ExponentialHistogramEdgesAreGeometric) {
@@ -79,8 +79,7 @@ TEST(ObsRegistry, ExponentialHistogramEdgesAreGeometric) {
     EXPECT_EQ(snap.counts[b], brackets ? 1u : 0u) << "bin " << b;
   }
 
-  // Below lo is underflow; at/above hi is overflow — same contract as the
-  // linear layout.
+  // Below lo is underflow; at/above hi is overflow.
   h.observe(5e-7);
   h.observe(1.0);
   snap = h.snapshot();
@@ -94,8 +93,8 @@ TEST(ObsRegistry, ExponentialHistogramEdgesAreGeometric) {
 
 TEST(ObsRegistry, ExponentialHistogramResolvesSamplesDecadesApart) {
   // The motivating property: microsecond and near-second samples land in
-  // distinct, well-separated bins of ONE instrument — a linear grid over
-  // the same range smears all the fast samples into its first bin.
+  // distinct, well-separated bins of ONE instrument — a uniform grid over
+  // the same range would smear all the fast samples into its first bin.
   MetricsRegistry reg;
   auto& h = reg.exponential_histogram("wide", "", 1e-6, 10.0, 64);
   for (int i = 0; i < 100; ++i) h.observe(5e-6);
@@ -129,23 +128,26 @@ TEST(ObsRegistry, CounterSumsStripesAndGaugeTracksMax) {
 
 TEST(ObsRegistry, HistogramSnapshotMatchesUtilQuantileContract) {
   MetricsRegistry reg;
-  auto& h = reg.histogram("h", "", 0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.observe(i + 0.5);
+  // Octave edges 1, 2, 4, ..., 1024; one sample in the middle of each bin.
+  auto& h = reg.exponential_histogram("h", "", 1.0, 1024.0, 10);
+  for (int i = 0; i < 10; ++i) h.observe(1.5 * (1 << i));
   const auto snap = h.snapshot();
   EXPECT_EQ(snap.total(), 10u);
-  EXPECT_NEAR(snap.quantile(0.5), 5.0, 1e-12);
-  EXPECT_NEAR(snap.quantile(0.25), 2.5, 1e-12);
+  // Uniform mass within a bin: rank 5 closes bin 4 at its upper edge 32,
+  // rank 2.5 sits halfway through bin [4, 8).
+  EXPECT_NEAR(snap.quantile(0.5), 32.0, 1e-9);
+  EXPECT_NEAR(snap.quantile(0.25), 6.0, 1e-9);
   // Clamping: under/overflow ranks resolve to lo/hi.
-  h.observe(-1.0);
-  h.observe(99.0);
+  h.observe(0.5);
+  h.observe(5000.0);
   const auto clamped = h.snapshot();
   EXPECT_EQ(clamped.underflow, 1u);
   EXPECT_EQ(clamped.overflow, 1u);
-  EXPECT_EQ(clamped.quantile(0.0), 0.0);
-  EXPECT_EQ(clamped.quantile(1.0), 10.0);
+  EXPECT_EQ(clamped.quantile(0.0), 1.0);
+  EXPECT_EQ(clamped.quantile(1.0), 1024.0);
   EXPECT_THROW(clamped.quantile(1.5), std::invalid_argument);
   // Empty histograms quantile to NaN, like util::Histogram.
-  const auto empty = reg.histogram("e", "", 0.0, 1.0, 2).snapshot();
+  const auto empty = reg.exponential_histogram("e", "", 1.0, 2.0, 2).snapshot();
   EXPECT_TRUE(std::isnan(empty.quantile(0.5)));
 }
 
@@ -189,28 +191,30 @@ TEST(ObsExport, PrometheusSanitizesNamesAndEscapesLabels) {
 
 TEST(ObsExport, PrometheusHistogramBucketsAreCumulativeWithInf) {
   MetricsRegistry reg;
-  auto& h = reg.histogram("lat", "latency", 0.0, 4.0, 4);
-  h.observe(-1.0);  // underflow -> first (le=lo) bucket
-  h.observe(0.5);
+  auto& h = reg.exponential_histogram("lat", "latency", 1.0, 8.0, 3);
+  h.observe(0.5);  // underflow -> first (le=lo) bucket
   h.observe(1.5);
+  h.observe(3.0);
   h.observe(9.0);  // overflow -> only +Inf
   const auto text = prom(reg);
   EXPECT_NE(text.find("# TYPE lat histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"0\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"1\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"2\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"1\"} 1\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"2\"} 2\n"), std::string::npos);
   EXPECT_NE(text.find("lat_bucket{le=\"4\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"8\"} 3\n"), std::string::npos);
   EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 4\n"), std::string::npos);
   // _count equals the +Inf bucket; _sum is the raw sum of observations.
   EXPECT_NE(text.find("lat_count 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum 10\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_sum 14\n"), std::string::npos);
 }
 
 TEST(ObsExport, PrometheusEmitsHeaderOncePerLabeledFamily) {
   MetricsRegistry reg;
-  reg.histogram("stage_seconds", "stage", 0.0, 1.0, 2, {{"stage", "scan"}})
+  reg.exponential_histogram("stage_seconds", "stage", 0.01, 1.0, 2,
+                            {{"stage", "scan"}})
       .observe(0.1);
-  reg.histogram("stage_seconds", "stage", 0.0, 1.0, 2, {{"stage", "merge"}})
+  reg.exponential_histogram("stage_seconds", "stage", 0.01, 1.0, 2,
+                            {{"stage", "merge"}})
       .observe(0.2);
   const auto text = prom(reg);
   // One HELP/TYPE pair even though two label sets share the family...
@@ -255,7 +259,7 @@ TEST(ObsExport, JsonRoundTripsInstrumentsAndSpans) {
   MetricsRegistry reg;
   reg.counter("c", "counter", {{"k", "v"}}).add(2.0);
   reg.gauge("g", "gauge").set(1.5);
-  reg.histogram("h", "hist", 0.0, 2.0, 2).observe(0.5);
+  reg.exponential_histogram("h", "hist", 0.25, 4.0, 2).observe(0.5);
   FlightRecorder rec({.mode = TraceMode::kFull, .capacity = 4});
   SpanRecord span;
   span.trace_id = rec.next_trace_id();

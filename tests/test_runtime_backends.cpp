@@ -158,6 +158,49 @@ TEST(RuntimeBackendParity, PackedAndUnpackedSubmissionBitIdentical) {
   }
 }
 
+TEST(RuntimeBackendParity, NarrowAlphabetBatchIsRepackedIntoIndexGeometry) {
+  // A batch packed over a narrower alphabet (1-bit fields against the
+  // index's 2-bit ones) is repacked once into index geometry: it returns
+  // the same top-k as the index-geometry batch on every registered backend,
+  // sequentially and on a pool.  A digit outside the index's alphabet is
+  // refused.
+  constexpr int kStages = 40, kRows = 90, kQueries = 20, kTopK = 6;
+  const auto reg = runtime::default_registry(calibration(), {.stages = kStages});
+  Rng rng(606);
+  std::vector<std::vector<int>> stored;
+  for (int r = 0; r < kRows; ++r)
+    stored.push_back(am::random_word(rng, kStages, kLevels));
+  core::DigitMatrix narrow(kStages, 2), index_geometry(kStages, kLevels);
+  for (int q = 0; q < kQueries; ++q) {
+    const auto word = am::random_word(rng, kStages, 2);
+    narrow.append(word);
+    index_geometry.append(word);
+  }
+  core::DigitMatrix out_of_range(kStages, 2 * kLevels);
+  auto bad = am::random_word(rng, kStages, kLevels);
+  bad[kStages / 2] = kLevels;
+  out_of_range.append(bad);
+
+  for (const auto& name : reg.names()) {
+    runtime::ShardedIndex index(reg, {.backend = name, .shards = 3});
+    for (const auto& row : stored) index.store(row);
+    for (int threads : {1, 8}) {
+      runtime::SearchEngine engine(index, {.threads = threads});
+      const auto a = engine.submit_batch(narrow, kTopK);
+      const auto b = engine.submit_batch(index_geometry, kTopK);
+      ASSERT_EQ(a.size(), b.size()) << name;
+      for (std::size_t q = 0; q < a.size(); ++q) {
+        EXPECT_EQ(a[q].entries, b[q].entries)
+            << "backend=" << name << " threads=" << threads << " query=" << q;
+        EXPECT_FALSE(a[q].entries.empty()) << name;
+      }
+      EXPECT_THROW(engine.submit_batch(out_of_range, kTopK),
+                   std::invalid_argument)
+          << "backend=" << name << " threads=" << threads;
+    }
+  }
+}
+
 TEST(RuntimeBackendParity, QueryTileSizeNeverChangesResults) {
   // The memory-hierarchy knobs are pure performance knobs: any query_tile /
   // row_block combination must return bit-identical entries and modeled

@@ -276,14 +276,21 @@ TEST(RuntimeNetObs, MetricsMessageServesAllThreeFormats) {
 }
 
 TEST(RuntimeNetObs, MetricsMessageRequiresProtocolV3) {
+  // METRICS is a v3 message and v3 is the one version spoken: a METRICS
+  // frame stamped v2 is refused with kUnsupportedVersion, and a fresh
+  // connection still gets its export.
   TracedStack stack("exact", {.mode = obs::TraceMode::kOff});
-  AmClient v2("127.0.0.1", stack.tcp->port(), 2);
-  EXPECT_THROW(v2.metrics(), ProtocolError);
-  // The connection survives the error reply — v2 queries still work.
-  Rng rng(43);
-  const auto reply = v2.query(
-      random_wire_digits(rng, kStages, stack.index->levels()), kTopK);
-  EXPECT_EQ(reply.query.code, WireCode::kOk);
+  auto old = stack.connect();
+  auto frame = encode_metrics(1, MetricsRequest{});
+  frame[2] = 2;
+  old.send_raw(frame);
+  AmClient::Reply reply;
+  ASSERT_TRUE(old.recv(reply));
+  ASSERT_EQ(reply.type, MsgType::kError);
+  EXPECT_EQ(reply.error.code, WireCode::kUnsupportedVersion);
+  auto client = stack.connect();
+  EXPECT_NE(client.metrics().text.find("# TYPE tdam_serving_queries_total"),
+            std::string::npos);
 }
 
 // --- embedded HTTP listener -----------------------------------------------

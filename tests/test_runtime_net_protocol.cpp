@@ -71,24 +71,38 @@ TEST(RuntimeNetProtocol, HeaderRejectsTruncationBadMagicBadVersion) {
     EXPECT_EQ(e.code, WireCode::kUnsupportedVersion);
   }
 
-  auto below_min = bytes;
-  below_min[2] = kMinProtocolVersion - 1;
-  try {
-    decode_header(below_min.data(), below_min.size());
-    FAIL() << "pre-v1 version decoded";
-  } catch (const ProtocolError& e) {
-    EXPECT_EQ(e.code, WireCode::kUnsupportedVersion);
+  // v1 and v2 are retired: their headers are refused like any other
+  // version byte, never read with the v3 payload schemas.
+  for (const int retired : {0, 1, 2}) {
+    auto old_version = bytes;
+    old_version[2] = static_cast<std::uint8_t>(retired);
+    try {
+      decode_header(old_version.data(), old_version.size());
+      FAIL() << "version " << retired << " decoded";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.code, WireCode::kUnsupportedVersion);
+    }
   }
 }
 
 TEST(RuntimeNetProtocol, HeaderAcceptsEveryCurrentlySpokenVersion) {
-  // v1 frames from old clients must keep decoding on a v2 server.
-  for (std::uint8_t v = kMinProtocolVersion; v <= kProtocolVersion; ++v) {
+  // One version is spoken: kProtocolVersion decodes, every other version
+  // byte is a named kUnsupportedVersion.
+  for (int v = 0; v <= 0xFF; ++v) {
     std::vector<std::uint8_t> bytes;
     FrameHeader in;
-    in.version = v;
+    in.version = static_cast<std::uint8_t>(v);
     encode_header(in, bytes);
-    EXPECT_EQ(decode_header(bytes.data(), bytes.size()).version, v);
+    if (v == kProtocolVersion) {
+      EXPECT_EQ(decode_header(bytes.data(), bytes.size()).version, v);
+      continue;
+    }
+    try {
+      decode_header(bytes.data(), bytes.size());
+      ADD_FAILURE() << "version " << v << " decoded";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.code, WireCode::kUnsupportedVersion) << "version " << v;
+    }
   }
 }
 
@@ -128,8 +142,7 @@ TEST(RuntimeNetProtocol, QueryReplyRoundTripAllCodes) {
     const auto header = split(bytes, &payload);
     EXPECT_EQ(header.trace_id, 0xABCDull);
     EXPECT_EQ(header.version, kProtocolVersion);
-    const auto out =
-        decode_query_reply(payload, header.payload_len, header.version);
+    const auto out = decode_query_reply(payload, header.payload_len);
     EXPECT_EQ(out.code, in.code);
     EXPECT_EQ(out.generation, in.generation);
     EXPECT_EQ(out.metric, core::DigitMetric::kCosine);
@@ -142,29 +155,6 @@ TEST(RuntimeNetProtocol, QueryReplyRoundTripAllCodes) {
   }
 }
 
-TEST(RuntimeNetProtocol, QueryReplyV1RoundTripTruncatesScores) {
-  // The v1 dialect: integer distances, no metric byte.  Integer-valued
-  // mismatch scores survive exactly; fractional parts truncate toward zero.
-  QueryReply in;
-  in.code = WireCode::kOk;
-  in.generation = 7;
-  in.metric = core::DigitMetric::kMismatchCount;
-  in.entries = {{.row = 3, .score = 4.0}, {.row = 9, .score = 6.75}};
-  const auto bytes = encode_query_reply(11, 0, in, /*version=*/1);
-  const std::uint8_t* payload = nullptr;
-  const auto header = split(bytes, &payload);
-  EXPECT_EQ(header.version, 1);
-  // 1 code + 8 generation + 4 count + 2 * 8 bytes/entry: no metric byte.
-  EXPECT_EQ(header.payload_len, 1u + 8u + 4u + 2u * 8u);
-  const auto out = decode_query_reply(payload, header.payload_len, 1);
-  EXPECT_EQ(out.metric, core::DigitMetric::kMismatchCount);  // wire default
-  ASSERT_EQ(out.entries.size(), 2u);
-  EXPECT_EQ(out.entries[0].row, 3);
-  EXPECT_EQ(out.entries[0].score, 4.0);
-  EXPECT_EQ(out.entries[1].row, 9);
-  EXPECT_EQ(out.entries[1].score, 6.0);  // 6.75 truncated by the v1 encode
-}
-
 TEST(RuntimeNetProtocol, QueryReplyRejectsUnknownMetricId) {
   QueryReply in;
   in.code = WireCode::kOk;
@@ -175,7 +165,7 @@ TEST(RuntimeNetProtocol, QueryReplyRejectsUnknownMetricId) {
                                            bytes.end());
   payload[9] = 0xEE;
   try {
-    decode_query_reply(payload.data(), payload.size(), kProtocolVersion);
+    decode_query_reply(payload.data(), payload.size());
     FAIL() << "unknown metric id accepted";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.code, WireCode::kMalformedFrame);

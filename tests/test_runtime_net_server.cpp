@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -130,46 +129,32 @@ TEST(RuntimeNetServer, TopKBitIdenticalToSearchEngineOnAllBackends) {
   }
 }
 
-TEST(RuntimeNetServer, V1ClientDecodesIntegerRepliesFromV2Server) {
-  // A legacy client stamping version 1 on its frames must keep working
-  // against the v2 server: same rows, integer-truncated scores, and every
-  // reply frame carries version 1 so the old decoder never sees v2 bytes.
-  Stack stack("behavioral", /*vectors=*/64);
-  AmClient v2("127.0.0.1", stack.tcp->port());
-  AmClient v1("127.0.0.1", stack.tcp->port(), /*protocol_version=*/1);
-  EXPECT_EQ(v1.protocol_version(), 1);
-
-  const auto hello = v1.hello();
-  EXPECT_EQ(hello.stages, static_cast<std::uint32_t>(kStages));
-  // HELLO advertises the server's newest dialect even to v1 callers.
-  EXPECT_EQ(hello.protocol_version, kProtocolVersion);
-
+TEST(RuntimeNetServer, RetiredVersionHeadersGetUnsupportedVersion) {
+  // Only v3 is spoken.  A hand-built v1 or v2 QUERY is refused with a named
+  // kUnsupportedVersion, never read with the v3 payload schema, and the
+  // server hangs up: past an unknown header it cannot trust the framing.
+  Stack stack("behavioral", 16);
   Rng rng(23);
-  for (int q = 0; q < 8; ++q) {
-    const auto digits =
+  for (const int version : {1, 2}) {
+    auto client = stack.connect();
+    QueryRequest request;
+    request.k = 3;
+    request.digits =
         to_wire(random_digits(rng, kStages, stack.index->levels()));
-    const auto modern = v2.query(digits, 5);
-    const auto legacy = v1.query(digits, 5);
-    ASSERT_EQ(modern.query.code, WireCode::kOk);
-    ASSERT_EQ(legacy.query.code, WireCode::kOk);
-    EXPECT_EQ(modern.query.metric, core::DigitMetric::kMismatchCount);
-    ASSERT_EQ(legacy.query.entries.size(), modern.query.entries.size());
-    for (std::size_t i = 0; i < modern.query.entries.size(); ++i) {
-      EXPECT_EQ(legacy.query.entries[i].row, modern.query.entries[i].row);
-      // Mismatch scores are integer-valued, so the v1 truncation is exact.
-      EXPECT_EQ(legacy.query.entries[i].score,
-                std::trunc(modern.query.entries[i].score));
-    }
+    auto frame = encode_query(9, request);
+    frame[2] = static_cast<std::uint8_t>(version);
+    client.send_raw(frame);
+    AmClient::Reply reply;
+    ASSERT_TRUE(client.recv(reply)) << "version " << version;
+    ASSERT_EQ(reply.type, MsgType::kError);
+    EXPECT_EQ(reply.error.code, WireCode::kUnsupportedVersion);
+    EXPECT_FALSE(client.recv(reply));
   }
-
-  // The whole v1 request set round-trips: store, batch, clear, stats.
-  const auto stored = v1.store(std::vector<std::uint16_t>(kStages, 2));
-  ASSERT_EQ(stored.type, MsgType::kStoreReply);
-  EXPECT_EQ(stored.store.row, 64);
-  const auto stats = v1.stats();
-  EXPECT_EQ(stats.rows, 65u);
-  const auto cleared = v1.clear();
-  ASSERT_EQ(cleared.type, MsgType::kClearReply);
+  // The server keeps answering v3 clients.
+  auto client = stack.connect();
+  const auto ok = client.query(
+      to_wire(random_digits(rng, kStages, stack.index->levels())), 3);
+  EXPECT_EQ(ok.query.code, WireCode::kOk);
 }
 
 TEST(RuntimeNetServer, CosineRepliesCarryMetricIdAndFloatScores) {

@@ -25,7 +25,8 @@ TEST(RuntimeObsRegistry, ConcurrentWritersWithLiveScraper) {
   MetricsRegistry reg;
   auto& hits = reg.counter("hits_total", "hammered counter");
   auto& depth = reg.gauge("depth", "hammered gauge");
-  auto& lat = reg.histogram("lat", "hammered histogram", 0.0, 1.0, 64);
+  auto& lat =
+      reg.exponential_histogram("lat", "hammered histogram", 1e-3, 2.0, 64);
   FlightRecorder rec({.mode = TraceMode::kSampled, .sample_every = 4,
                       .capacity = 128});
 
@@ -50,8 +51,8 @@ TEST(RuntimeObsRegistry, ConcurrentWritersWithLiveScraper) {
         hits.add(1.0);
         depth.set(static_cast<double>(i % 100));
         depth.max(static_cast<double>(i % 100));
-        lat.observe(static_cast<double>((w * kOpsPerWriter + i) % 1000) *
-                    1e-3);
+        lat.observe(
+            static_cast<double>((w * kOpsPerWriter + i) % 1000 + 1) * 1e-3);
         SpanRecord span;
         span.trace_id = rec.next_trace_id();
         span.enqueue_ns = 1;
