@@ -14,7 +14,7 @@
 // --wire measures the same three modes over the full Layer-8 path instead:
 // a loopback AmTcpServer plus one pipelined AmClient, so the sampled-mode
 // budget also covers the wire-stage stamping (io_recv/decode/submit_queue/
-// completion_wait/encode/io_send) and the deferred record at io_send.
+// encode/io_send) and the deferred record at io_send.
 //
 // In CI this runs report-only: shared runners are too noisy to gate on a
 // few percent of wall time, so the gate is meant for quiet local machines.

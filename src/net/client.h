@@ -2,13 +2,14 @@
 // speaks the framed protocol in two styles —
 //
 //  * synchronous  — hello()/query()/store()/clear()/stats() send one request
-//    and block until its reply arrives (replies on one connection are
-//    ordered, so this is a simple send + recv);
+//    and block until the reply carrying its request_id arrives;
 //  * pipelined    — send_query()/send_hello()/… enqueue a request without
 //    waiting and return its request_id; recv() blocks for the next reply
-//    frame, which the caller correlates by Reply::request_id.  Keeping many
-//    queries in flight on one connection is how loadgen reaches high QPS
-//    without a thread per request.
+//    frame, which the caller MUST correlate by Reply::request_id: the
+//    server does not answer in request order (a STATS reply can overtake
+//    a query, and queries of different k in one micro-batch can finish in
+//    either order).  Keeping many queries in flight on one connection is
+//    how loadgen reaches high QPS without a thread per request.
 //
 // Degraded queries are normal replies: a query bounced by admission control
 // arrives as Reply{type=kQueryReply, code=kRejected}, not an exception.

@@ -15,9 +15,8 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <future>
+#include <exception>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -35,47 +34,6 @@ namespace {
   throw std::runtime_error("AmTcpServer: " + what + ": " +
                            std::strerror(errno));
 }
-
-// Closeable MPSC handoff between the I/O, submit, and completion threads.
-// push() returns false once closed; pop() blocks and returns nullopt only
-// when closed AND drained — the consumer's exit condition, which is what
-// makes shutdown drain instead of drop.
-template <typename T>
-class TaskQueue {
- public:
-  bool push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-    }
-    ready_.notify_one();
-    return true;
-  }
-
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
 
 }  // namespace
 
@@ -107,10 +65,13 @@ struct AmTcpServer::Impl {
     bool closing = false;               // hang up once the outbox flushes
     bool want_write = false;            // EPOLLOUT currently armed
 
-    // Write side — producers are the submit/completion/I-O threads.
+    // Write side — producers (I/O threads, query callbacks) only append to
+    // `outbox`; the owning I/O thread moves it to `sending` and writes from
+    // there without the lock, so a producer never waits on a send.
     std::mutex out_mutex;
     std::deque<OutFrame> outbox;
-    std::size_t out_front_off = 0;      // bytes of outbox.front() written
+    std::deque<OutFrame> sending;       // owning I/O thread only
+    std::size_t out_front_off = 0;      // bytes of sending.front() written
     std::atomic<std::size_t> out_bytes{0};
     std::atomic<bool> closed{false};
   };
@@ -128,26 +89,6 @@ struct AmTcpServer::Impl {
     std::unordered_map<int, std::shared_ptr<Connection>> conns;
   };
 
-  struct Request {
-    std::shared_ptr<Connection> conn;
-    MsgType type = MsgType::kHello;
-    std::uint64_t request_id = 0;
-    QueryRequest query;            // kQuery only
-    StoreRequest store;            // kStore only
-    StoreBatchRequest store_batch; // kStoreBatch only
-    MetricsRequest metrics;        // kMetrics only
-    // kQuery with tracing on: the wire-side span seed.  enqueue_ns is the
-    // frame-receipt instant; io_recv/decode are stamped by the I/O thread,
-    // submit_queue by the submit thread just before AmServer::submit.
-    obs::SpanRecord seed;
-  };
-
-  struct Completion {
-    std::shared_ptr<Connection> conn;
-    std::uint64_t request_id = 0;
-    std::future<runtime::ServedResult> future;
-  };
-
   // --- members ------------------------------------------------------------
 
   runtime::AmServer& am;
@@ -155,18 +96,22 @@ struct AmTcpServer::Impl {
   int bound_port = 0;
   int listen_fd = -1;
 
-  std::atomic<bool> stopping{false};  // phase 1: no new reads/accepts
-  std::atomic<bool> io_stop{false};   // phase 2: loops close and exit
+  std::atomic<bool> stopping{false};  // stop() step 1: no reads/accepts
+  std::atomic<bool> io_stop{false};   // stop() step 4: loops close, exit
   bool stopped = false;               // stop() ran to completion
   std::mutex stop_mutex;              // serializes stop()
 
   std::vector<std::unique_ptr<IoThread>> io;
   std::atomic<std::uint64_t> next_io = 0;  // round-robin accept target
+  core::DigitMetric metric;                // stamped on every QUERY_REPLY
 
-  TaskQueue<Request> requests;
-  TaskQueue<Completion> completions;
-  std::thread submit_thread;
-  std::thread completion_thread;
+  // Shutdown bookkeeping: I/O loops that still read, and queries handed to
+  // AmServer whose callback has not finished yet.  stop() waits for both
+  // to reach zero before it tears the loops down.
+  std::mutex drain_mutex;
+  std::condition_variable drain_cv;
+  int loops_reading = 0;
+  int queries_in_flight = 0;
 
   // For the shutdown flush scan (I/O threads own the live maps).
   std::mutex all_conns_mutex;
@@ -185,7 +130,7 @@ struct AmTcpServer::Impl {
   std::unordered_map<std::uint8_t, obs::Counter*> protocol_errors_by_code;
 
   Impl(runtime::AmServer& server, TcpServerOptions options)
-      : am(server), opts(std::move(options)) {
+      : am(server), opts(std::move(options)), metric(am.index().metric()) {
     validate_options();
     register_metrics();
     open_listener();
@@ -193,6 +138,7 @@ struct AmTcpServer::Impl {
       start_threads();
     } catch (...) {
       ::close(listen_fd);
+      close_loop_fds();
       throw;
     }
   }
@@ -304,10 +250,17 @@ struct AmTcpServer::Impl {
       }
       io.push_back(std::move(t));
     }
+    loops_reading = opts.io_threads;
     for (std::size_t i = 0; i < io.size(); ++i)
       io[i]->thread = std::thread([this, i] { io_loop(*io[i], i == 0); });
-    submit_thread = std::thread([this] { submit_loop(); });
-    completion_thread = std::thread([this] { completion_loop(); });
+  }
+
+  void close_loop_fds() {
+    for (auto& t : io) {
+      if (t->event_fd >= 0) ::close(t->event_fd);
+      if (t->epoll_fd >= 0) ::close(t->epoll_fd);
+      t->event_fd = t->epoll_fd = -1;
+    }
   }
 
   // --- cross-thread wakeup ------------------------------------------------
@@ -317,63 +270,61 @@ struct AmTcpServer::Impl {
     [[maybe_unused]] const auto n = ::write(t.event_fd, &one, sizeof one);
   }
 
-  // Append encoded reply bytes to the connection and arm its I/O loop for
-  // writing.  Safe from any thread; silently drops if the peer is gone.
-  void send_frame(const std::shared_ptr<Connection>& conn,
-                  std::vector<std::uint8_t> bytes) {
-    OutFrame frame;
-    frame.bytes = std::move(bytes);
-    send_out_frame(conn, std::move(frame));
-  }
-
-  // Wire-traced variant: the span rides with the frame and is finished
+  // Append encoded reply bytes to the connection and hand it to its I/O
+  // loop for writing.  Safe from any thread; silently drops if the peer is
+  // gone.  Only an append to an empty inbox wakes the loop (a non-empty one
+  // has a wakeup pending), so replies that outpace the loop share one.  A
+  // wire-traced QUERY reply's span rides with the frame and is finished
   // (io_send stamped) and recorded when the last byte reaches the kernel.
   void send_frame(const std::shared_ptr<Connection>& conn,
                   std::vector<std::uint8_t> bytes,
-                  const obs::SpanRecord& span) {
+                  const obs::SpanRecord* span = nullptr) {
+    if (conn->closed.load(std::memory_order_acquire)) return;
     OutFrame frame;
     frame.bytes = std::move(bytes);
-    frame.has_span = true;
-    frame.span = span;
-    send_out_frame(conn, std::move(frame));
-  }
-
-  // `hang_up` marks the connection closing together with queueing its
-  // final frame, under the outbox lock handle_write checks `closing` under,
-  // so the I/O thread cannot hang up before that frame is written.
-  void send_out_frame(const std::shared_ptr<Connection>& conn, OutFrame frame,
-                      bool hang_up = false) {
-    if (conn->closed.load(std::memory_order_acquire)) return;
+    if (span) {
+      frame.has_span = true;
+      frame.span = *span;
+    }
     {
       std::lock_guard<std::mutex> lock(conn->out_mutex);
       conn->out_bytes.fetch_add(frame.bytes.size(), std::memory_order_relaxed);
       conn->outbox.push_back(std::move(frame));
-      if (hang_up) conn->closing = true;
     }
     frames_out->add(1.0);
     IoThread& t = *conn->io;
+    bool first;
     {
       std::lock_guard<std::mutex> lock(t.inbox_mutex);
+      first = t.inbox_kick.empty();
       t.inbox_kick.push_back(conn);
     }
-    wake(t);
+    if (first) wake(t);
   }
 
-  // ERROR reply + counters; the caller decides whether the stream can
-  // continue (kMalformedFrame payloads can; a lost frame boundary cannot).
-  void protocol_error(const std::shared_ptr<Connection>& conn,
-                      std::uint64_t request_id, WireCode code,
-                      const std::string& message) {
+  // ERROR reply + counters.  Safe from any thread.
+  void send_error(const std::shared_ptr<Connection>& conn,
+                  std::uint64_t request_id, WireCode code,
+                  const std::string& message) {
     protocol_errors_total->add(1.0);
     if (const auto it =
             protocol_errors_by_code.find(static_cast<std::uint8_t>(code));
         it != protocol_errors_by_code.end())
       it->second->add(1.0);
-    OutFrame frame;
-    frame.bytes = encode_error(request_id, {code, message});
-    // Hang up once this final reply flushes.
-    send_out_frame(conn, std::move(frame),
-                   ++conn->protocol_errors >= opts.max_protocol_errors);
+    send_frame(conn, encode_error(request_id, {code, message}));
+  }
+
+  // The client's fault: ERROR reply charged against the connection's error
+  // budget; once the budget is spent, hang up after this reply flushes.  The
+  // caller decides whether the stream can otherwise continue (kMalformedFrame
+  // payloads can; a lost frame boundary cannot).  Owning I/O thread only —
+  // it alone touches the read-side fields.
+  void protocol_error(const std::shared_ptr<Connection>& conn,
+                      std::uint64_t request_id, WireCode code,
+                      const std::string& message) {
+    send_error(conn, request_id, code, message);
+    if (++conn->protocol_errors >= opts.max_protocol_errors)
+      conn->closing = true;
   }
 
   // --- I/O loop -----------------------------------------------------------
@@ -388,7 +339,7 @@ struct AmTcpServer::Impl {
       if (n < 0 && errno != EINTR) break;
 
       if (stopping.load(std::memory_order_acquire) && reads_enabled) {
-        // Phase 1: stop accepting and stop reading; keep writing.
+        // stop() step 1: stop accepting and stop reading; keep writing.
         reads_enabled = false;
         if (listener_open) {
           ::epoll_ctl(t.epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
@@ -396,6 +347,7 @@ struct AmTcpServer::Impl {
           listener_open = false;
         }
         for (auto& [fd, conn] : t.conns) update_interest(t, *conn, false);
+        count_down(loops_reading);
       }
 
       for (int i = 0; i < n; ++i) {
@@ -422,12 +374,15 @@ struct AmTcpServer::Impl {
         if ((flags & EPOLLIN) && reads_enabled && !conn->closing)
           handle_read(t, conn);
         if (conn->closed.load(std::memory_order_relaxed)) continue;
-        if (flags & EPOLLOUT) handle_write(t, conn);
+        if (flags & EPOLLOUT) handle_write(t, conn, reads_enabled);
       }
 
       if (io_stop.load(std::memory_order_acquire)) break;
     }
-    // Phase 2: close whatever is left.
+    if (reads_enabled) count_down(loops_reading);  // epoll failed early
+    // stop() step 4: close whatever is left.  stop() closes this loop's
+    // eventfd and epoll fd after the join, so no late wake() can hit a
+    // closed (or reused) descriptor.
     for (auto& [fd, conn] : t.conns) {
       conn->closed.store(true, std::memory_order_release);
       ::close(conn->fd);
@@ -436,8 +391,14 @@ struct AmTcpServer::Impl {
     }
     t.conns.clear();
     if (listener_open) ::close(listen_fd);
-    ::close(t.event_fd);
-    ::close(t.epoll_fd);
+  }
+
+  // Decrements one of stop()'s drain counters.  Notifies under the lock:
+  // once a query callback's count reaches zero, stop() may destroy *this.
+  void count_down(int& counter) {
+    std::lock_guard<std::mutex> lock(drain_mutex);
+    --counter;
+    drain_cv.notify_all();
   }
 
   void drain_inbox(IoThread& t, bool reads_enabled) {
@@ -460,13 +421,11 @@ struct AmTcpServer::Impl {
       }
       t.conns.emplace(conn->fd, conn);
     }
+    // Write eagerly; EPOLLOUT is armed only if the socket buffer fills.
     for (auto& conn : kicked) {
       if (conn->closed.load(std::memory_order_relaxed)) continue;
       if (t.conns.find(conn->fd) == t.conns.end()) continue;
-      if (!conn->want_write) {
-        conn->want_write = true;
-        update_interest(t, *conn, reads_enabled);
-      }
+      handle_write(t, conn, reads_enabled);
     }
   }
 
@@ -601,42 +560,49 @@ struct AmTcpServer::Impl {
     }
   }
 
+  // Answers one decoded frame on the owning I/O thread: HELLO, STATS,
+  // METRICS, STORE, STORE_BATCH and CLEAR inline, a QUERY by handing it to
+  // AmServer with a callback that sends the reply.
   void dispatch_frame(const std::shared_ptr<Connection>& conn,
                       const FrameHeader& header, const std::uint8_t* payload,
                       std::size_t size, std::int64_t recv_ns) {
-    Request request;
-    request.conn = conn;
-    request.type = header.type;
-    request.request_id = header.request_id;
+    const std::uint64_t id = header.request_id;
     try {
       switch (header.type) {
         case MsgType::kHello:
-        case MsgType::kClear:
-        case MsgType::kStats:
-          if (size != 0)
-            throw ProtocolError(WireCode::kMalformedFrame,
-                                "request carries an unexpected payload");
-          break;
-        case MsgType::kQuery: {
-          const bool traced = am.recorder().enabled();
-          if (traced) {
-            request.seed.enqueue_ns = recv_ns;
-            request.seed.io_recv_ns = obs::steady_now_ns() - recv_ns;
-          }
-          request.query = decode_query(payload, size);
-          if (traced)
-            request.seed.decode_ns = obs::steady_now_ns() - recv_ns;
-          break;
+          expect_no_payload(size);
+          send_frame(conn, encode_hello_reply(id, hello_reply()));
+          return;
+        case MsgType::kQuery:
+          submit_query(conn, id, payload, size, recv_ns);
+          return;
+        case MsgType::kStore: {
+          const auto request = decode_store(payload, size);
+          const std::vector<int> digits(request.digits.begin(),
+                                        request.digits.end());
+          StoreReply reply;
+          reply.row = static_cast<std::int32_t>(am.store(digits));
+          reply.generation = am.generation();
+          send_frame(conn, encode_store_reply(id, reply));
+          return;
         }
-        case MsgType::kMetrics:
-          request.metrics = decode_metrics(payload, size);
-          break;
-        case MsgType::kStore:
-          request.store = decode_store(payload, size);
-          break;
         case MsgType::kStoreBatch:
-          request.store_batch = decode_store_batch(payload, size);
-          break;
+          store_batch(conn, id, decode_store_batch(payload, size));
+          return;
+        case MsgType::kClear:
+          expect_no_payload(size);
+          am.clear();
+          send_frame(conn, encode_clear_reply(id, {am.generation()}));
+          return;
+        case MsgType::kStats:
+          expect_no_payload(size);
+          send_frame(conn, encode_stats_reply(id, stats_reply()));
+          return;
+        case MsgType::kMetrics: {
+          const auto request = decode_metrics(payload, size);
+          send_frame(conn, encode_metrics_reply(id, metrics_reply(request)));
+          return;
+        }
         default:
           throw ProtocolError(
               WireCode::kUnknownType,
@@ -644,34 +610,49 @@ struct AmTcpServer::Impl {
                   std::to_string(static_cast<int>(header.type)));
       }
     } catch (const ProtocolError& e) {
-      protocol_error(conn, header.request_id, e.code, e.what());
-      return;  // connection survives a bad payload
+      protocol_error(conn, id, e.code, e.what());  // connection survives
+    } catch (const std::invalid_argument& e) {
+      protocol_error(conn, id, WireCode::kInvalidArgument, e.what());
     }
-    if (!requests.push(std::move(request)))
-      protocol_error(conn, header.request_id, WireCode::kRejected,
-                     "server shutting down");
   }
 
-  void handle_write(IoThread& t, const std::shared_ptr<Connection>& conn) {
-    std::lock_guard<std::mutex> lock(conn->out_mutex);
-    while (!conn->outbox.empty()) {
-      const auto& front = conn->outbox.front();
+  static void expect_no_payload(std::size_t size) {
+    if (size != 0)
+      throw ProtocolError(WireCode::kMalformedFrame,
+                          "request carries an unexpected payload");
+  }
+
+  void handle_write(IoThread& t, const std::shared_ptr<Connection>& conn,
+                    bool reads_enabled) {
+    {
+      std::lock_guard<std::mutex> lock(conn->out_mutex);
+      for (auto& frame : conn->outbox)
+        conn->sending.push_back(std::move(frame));
+      conn->outbox.clear();
+    }
+    while (!conn->sending.empty()) {
+      const auto& front = conn->sending.front();
       const std::size_t left = front.bytes.size() - conn->out_front_off;
       const ssize_t n =
           ::send(conn->fd, front.bytes.data() + conn->out_front_off, left,
                  MSG_NOSIGNAL);
       if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // stay armed
         if (errno == EINTR) continue;
-        close_conn(t, conn);
+        if (errno != EAGAIN && errno != EWOULDBLOCK) {
+          close_conn(t, conn);
+          return;
+        }
+        if (!conn->want_write) {  // buffer full: resume on EPOLLOUT
+          conn->want_write = true;
+          update_interest(t, *conn, reads_enabled);
+        }
         return;
       }
       bytes_out->add(static_cast<double>(n));
       conn->out_bytes.fetch_sub(static_cast<std::size_t>(n),
                                 std::memory_order_relaxed);
       conn->out_front_off += static_cast<std::size_t>(n);
-      if (conn->out_front_off < front.bytes.size())
-        return;  // kernel buffer full
+      if (conn->out_front_off < front.bytes.size()) continue;
       // The frame's last byte reached the kernel: the wire span is
       // complete.  Record it now — this is the deferred recording the
       // serving layers skipped for span.wire() spans, so /traces shows one
@@ -682,205 +663,173 @@ struct AmTcpServer::Impl {
         am.recorder().record(span);
         am.slow_log().maybe_capture(span);
       }
-      conn->outbox.pop_front();
+      conn->sending.pop_front();
       conn->out_front_off = 0;
     }
-    // Flushed: drop write interest; a connection marked closing is done.
-    conn->want_write = false;
+    // Flushed: a connection marked closing is done.
     if (conn->closing) {
       close_conn(t, conn);
       return;
     }
-    update_interest(t, *conn, !stopping.load(std::memory_order_relaxed));
-  }
-
-  // --- submit / completion threads ---------------------------------------
-
-  void submit_loop() {
-    while (auto request = requests.pop()) handle_request(*request);
-  }
-
-  void handle_request(Request& request) {
-    switch (request.type) {
-      case MsgType::kHello: {
-        HelloReply reply;
-        reply.stages = static_cast<std::uint32_t>(am.index().stages());
-        reply.levels = static_cast<std::uint32_t>(am.index().levels());
-        reply.max_frame_bytes =
-            static_cast<std::uint32_t>(opts.max_frame_bytes);
-        reply.generation = am.generation();
-        reply.backend = am.index().backend_name();
-        send_frame(request.conn, encode_hello_reply(request.request_id, reply));
-        return;
-      }
-      case MsgType::kQuery: {
-        std::vector<int> digits(request.query.digits.begin(),
-                                request.query.digits.end());
-        const auto deadline =
-            request.query.deadline_us > 0
-                ? std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(request.query.deadline_us)
-                : runtime::AmServer::kNoDeadline;
-        try {
-          // submit_queue: time spent in the decoded-request queue between
-          // the I/O thread and this submit thread.
-          if (request.seed.traced())
-            request.seed.submit_queue_ns =
-                obs::steady_now_ns() - request.seed.enqueue_ns;
-          auto future = am.submit(digits, static_cast<int>(request.query.k),
-                                  deadline, request.seed);
-          completions.push(Completion{std::move(request.conn),
-                                      request.request_id,
-                                      std::move(future)});
-        } catch (const std::invalid_argument& e) {
-          protocol_error(request.conn, request.request_id,
-                         WireCode::kInvalidArgument, e.what());
-        }
-        return;
-      }
-      case MsgType::kStore: {
-        std::vector<int> digits(request.store.digits.begin(),
-                                request.store.digits.end());
-        try {
-          StoreReply reply;
-          reply.row = static_cast<std::int32_t>(am.store(digits));
-          reply.generation = am.generation();
-          send_frame(request.conn,
-                     encode_store_reply(request.request_id, reply));
-        } catch (const std::invalid_argument& e) {
-          protocol_error(request.conn, request.request_id,
-                         WireCode::kInvalidArgument, e.what());
-        }
-        return;
-      }
-      case MsgType::kStoreBatch: {
-        const auto& batch = request.store_batch;
-        const auto dpr = static_cast<std::size_t>(batch.digits_per_row);
-        StoreBatchReply reply;
-        std::vector<int> digits(dpr);
-        try {
-          for (std::uint32_t row = 0; row < batch.rows(); ++row) {
-            const auto* src = batch.digits.data() + row * dpr;
-            std::copy(src, src + dpr, digits.begin());
-            const int id = am.store(digits);
-            if (reply.rows == 0) reply.first_row = static_cast<std::int32_t>(id);
-            ++reply.rows;
-          }
-          reply.generation = am.generation();
-          send_frame(request.conn,
-                     encode_store_batch_reply(request.request_id, reply));
-        } catch (const std::invalid_argument& e) {
-          // Rows before the bad one are already stored; the error names the
-          // offending row so the client can account for the partial write.
-          protocol_error(request.conn, request.request_id,
-                         WireCode::kInvalidArgument,
-                         "store_batch row " + std::to_string(reply.rows) +
-                             ": " + e.what());
-        }
-        return;
-      }
-      case MsgType::kClear: {
-        am.clear();
-        send_frame(request.conn,
-                   encode_clear_reply(request.request_id, {am.generation()}));
-        return;
-      }
-      case MsgType::kStats: {
-        const auto snap = am.metrics().snapshot();
-        StatsReply reply;
-        reply.queries = snap.queries;
-        reply.rejected = snap.rejected;
-        reply.shed = snap.shed;
-        reply.expired = snap.expired;
-        reply.rows = static_cast<std::uint64_t>(am.index().size());
-        reply.generation = am.generation();
-        reply.connections = static_cast<std::uint64_t>(
-            open_connections.load(std::memory_order_relaxed));
-        reply.frames_in = static_cast<std::uint64_t>(frames_in->value());
-        reply.protocol_errors =
-            static_cast<std::uint64_t>(protocol_errors_total->value());
-        reply.segments = snap.segments;
-        reply.delta_rows = snap.delta_rows;
-        reply.compactions = snap.compactions;
-        reply.qps = snap.qps;
-        reply.p50_s = snap.wall_quantile(0.50);
-        reply.p99_s = snap.wall_quantile(0.99);
-        const auto q = [](const obs::HistogramSnapshot& h, double p) {
-          return h.total() > 0 ? h.quantile(p) : 0.0;
-        };
-        reply.queue_wait_p50_s = q(snap.queue_wait, 0.50);
-        reply.queue_wait_p99_s = q(snap.queue_wait, 0.99);
-        reply.batch_wait_p50_s = q(snap.batch_wait, 0.50);
-        reply.batch_wait_p99_s = q(snap.batch_wait, 0.99);
-        reply.scan_p50_s = q(snap.scan, 0.50);
-        reply.scan_p99_s = q(snap.scan, 0.99);
-        reply.merge_p50_s = q(snap.merge, 0.50);
-        reply.merge_p99_s = q(snap.merge, 0.99);
-        send_frame(request.conn, encode_stats_reply(request.request_id, reply));
-        return;
-      }
-      case MsgType::kMetrics: {
-        MetricsReply reply;
-        reply.format = request.metrics.format;
-        std::ostringstream out;
-        switch (request.metrics.format) {
-          case MetricsFormat::kPrometheus:
-            obs::export_prometheus(out, am.metrics().registry());
-            break;
-          case MetricsFormat::kJson:
-            obs::export_json(out, am.metrics().registry(), &am.recorder(),
-                             &am.slow_log());
-            break;
-          case MetricsFormat::kTraces:
-            obs::export_traces_json(out, &am.recorder(), &am.slow_log());
-            break;
-        }
-        reply.text = out.str();
-        send_frame(request.conn,
-                   encode_metrics_reply(request.request_id, reply));
-        return;
-      }
-      default:
-        // dispatch_frame only forwards the seven request types.
-        protocol_error(request.conn, request.request_id,
-                       WireCode::kUnknownType, "unroutable request");
-        return;
+    if (conn->want_write) {
+      conn->want_write = false;
+      update_interest(t, *conn, reads_enabled);
     }
   }
 
-  void completion_loop() {
-    const core::DigitMetric metric = am.index().metric();
-    while (auto completion = completions.pop()) {
-      QueryReply reply;
-      reply.metric = metric;
-      std::uint64_t trace_id = 0;
-      obs::SpanRecord span;
+  // --- request handlers (owning I/O thread) -------------------------------
+
+  void submit_query(const std::shared_ptr<Connection>& conn,
+                    std::uint64_t request_id, const std::uint8_t* payload,
+                    std::size_t size, std::int64_t recv_ns) {
+    obs::SpanRecord seed;
+    const bool traced = am.recorder().enabled();
+    if (traced) {
+      seed.enqueue_ns = recv_ns;
+      seed.io_recv_ns = obs::steady_now_ns() - recv_ns;
+    }
+    const auto query = decode_query(payload, size);
+    if (traced) seed.decode_ns = obs::steady_now_ns() - recv_ns;
+    const std::vector<int> digits(query.digits.begin(), query.digits.end());
+    const auto deadline =
+        query.deadline_us > 0
+            ? std::chrono::steady_clock::now() +
+                  std::chrono::microseconds(query.deadline_us)
+            : runtime::AmServer::kNoDeadline;
+    {
+      std::lock_guard<std::mutex> lock(drain_mutex);
+      ++queries_in_flight;
+    }
+    // submit_queue: the instant this thread hands the query to AmServer.
+    if (traced) seed.submit_queue_ns = obs::steady_now_ns() - recv_ns;
+    try {
+      am.submit(digits, static_cast<int>(query.k), deadline, seed,
+                [this, conn, request_id](runtime::ServedResult served,
+                                         std::exception_ptr error) {
+                  reply_query(conn, request_id, std::move(served), error);
+                  count_down(queries_in_flight);
+                });
+    } catch (...) {
+      count_down(queries_in_flight);  // validation threw: no callback
+      throw;
+    }
+  }
+
+  // A query's completion: on AmServer's dispatcher for answered, expired
+  // and failed queries, inside submit_query for rejected and shed ones.
+  void reply_query(const std::shared_ptr<Connection>& conn,
+                   std::uint64_t request_id, runtime::ServedResult served,
+                   const std::exception_ptr& error) {
+    if (error) {
+      // The server failed, not the client: a plain ERROR on this request,
+      // never charged against the connection's protocol-error budget.
+      std::string message = "engine failure";
       try {
-        auto served = completion->future.get();
-        reply.code = to_wire_code(served.status);
-        reply.generation = served.generation;
-        trace_id = served.trace_id;
-        span = served.span;
-        if (served.status == runtime::QueryStatus::kOk)
-          reply.entries = std::move(served.result.entries);
+        std::rethrow_exception(error);
       } catch (const std::exception& e) {
-        protocol_error(completion->conn, completion->request_id,
-                       WireCode::kInternal, e.what());
-        continue;
+        message = e.what();
+      } catch (...) {
       }
-      // completion_wait: fulfillment to this thread picking the future up
-      // (FIFO head-of-line wait included — that is the point of the stage).
-      const bool wire_traced = span.traced() && span.wire();
-      if (wire_traced)
-        span.completion_wait_ns = obs::steady_now_ns() - span.enqueue_ns;
-      auto bytes = encode_query_reply(completion->request_id, trace_id, reply);
-      if (wire_traced) {
-        span.encode_ns = obs::steady_now_ns() - span.enqueue_ns;
-        send_frame(completion->conn, std::move(bytes), span);
-      } else {
-        send_frame(completion->conn, std::move(bytes));
-      }
+      send_error(conn, request_id, WireCode::kInternal, message);
+      return;
     }
+    QueryReply reply;
+    reply.metric = metric;
+    reply.code = to_wire_code(served.status);
+    reply.generation = served.generation;
+    if (served.status == runtime::QueryStatus::kOk)
+      reply.entries = std::move(served.result.entries);
+    auto bytes = encode_query_reply(request_id, served.trace_id, reply);
+    auto& span = served.span;
+    if (span.wire()) span.encode_ns = obs::steady_now_ns() - span.enqueue_ns;
+    send_frame(conn, std::move(bytes), span.wire() ? &span : nullptr);
+  }
+
+  void store_batch(const std::shared_ptr<Connection>& conn,
+                   std::uint64_t request_id, const StoreBatchRequest& batch) {
+    const auto dpr = static_cast<std::size_t>(batch.digits_per_row);
+    StoreBatchReply reply;
+    std::vector<int> digits(dpr);
+    try {
+      for (std::uint32_t row = 0; row < batch.rows(); ++row) {
+        const auto* src = batch.digits.data() + row * dpr;
+        std::copy(src, src + dpr, digits.begin());
+        const int id = am.store(digits);
+        if (reply.rows == 0) reply.first_row = static_cast<std::int32_t>(id);
+        ++reply.rows;
+      }
+    } catch (const std::invalid_argument& e) {
+      // Rows before the bad one are already stored; the error names the
+      // offending row so the client can account for the partial write.
+      throw std::invalid_argument("store_batch row " +
+                                  std::to_string(reply.rows) + ": " + e.what());
+    }
+    reply.generation = am.generation();
+    send_frame(conn, encode_store_batch_reply(request_id, reply));
+  }
+
+  HelloReply hello_reply() const {
+    HelloReply reply;
+    reply.stages = static_cast<std::uint32_t>(am.index().stages());
+    reply.levels = static_cast<std::uint32_t>(am.index().levels());
+    reply.max_frame_bytes = static_cast<std::uint32_t>(opts.max_frame_bytes);
+    reply.generation = am.generation();
+    reply.backend = am.index().backend_name();
+    return reply;
+  }
+
+  StatsReply stats_reply() const {
+    const auto snap = am.metrics().snapshot();
+    StatsReply reply;
+    reply.queries = snap.queries;
+    reply.rejected = snap.rejected;
+    reply.shed = snap.shed;
+    reply.expired = snap.expired;
+    reply.rows = static_cast<std::uint64_t>(am.index().size());
+    reply.generation = am.generation();
+    reply.connections = static_cast<std::uint64_t>(
+        open_connections.load(std::memory_order_relaxed));
+    reply.frames_in = static_cast<std::uint64_t>(frames_in->value());
+    reply.protocol_errors =
+        static_cast<std::uint64_t>(protocol_errors_total->value());
+    reply.segments = snap.segments;
+    reply.delta_rows = snap.delta_rows;
+    reply.compactions = snap.compactions;
+    reply.qps = snap.qps;
+    reply.p50_s = snap.wall_quantile(0.50);
+    reply.p99_s = snap.wall_quantile(0.99);
+    const auto q = [](const obs::HistogramSnapshot& h, double p) {
+      return h.total() > 0 ? h.quantile(p) : 0.0;
+    };
+    reply.queue_wait_p50_s = q(snap.queue_wait, 0.50);
+    reply.queue_wait_p99_s = q(snap.queue_wait, 0.99);
+    reply.batch_wait_p50_s = q(snap.batch_wait, 0.50);
+    reply.batch_wait_p99_s = q(snap.batch_wait, 0.99);
+    reply.scan_p50_s = q(snap.scan, 0.50);
+    reply.scan_p99_s = q(snap.scan, 0.99);
+    reply.merge_p50_s = q(snap.merge, 0.50);
+    reply.merge_p99_s = q(snap.merge, 0.99);
+    return reply;
+  }
+
+  MetricsReply metrics_reply(const MetricsRequest& request) {
+    MetricsReply reply;
+    reply.format = request.format;
+    std::ostringstream out;
+    switch (request.format) {
+      case MetricsFormat::kPrometheus:
+        obs::export_prometheus(out, am.metrics().registry());
+        break;
+      case MetricsFormat::kJson:
+        obs::export_json(out, am.metrics().registry(), &am.recorder(),
+                         &am.slow_log());
+        break;
+      case MetricsFormat::kTraces:
+        obs::export_traces_json(out, &am.recorder(), &am.slow_log());
+        break;
+    }
+    reply.text = out.str();
+    return reply;
   }
 
   // --- shutdown -----------------------------------------------------------
@@ -888,16 +837,19 @@ struct AmTcpServer::Impl {
   void stop() {
     std::lock_guard<std::mutex> lock(stop_mutex);
     if (stopped) return;
-    // Phase 1: listener closes, reads stop (I/O loops observe `stopping`).
+    // Steps 1-2: every loop stops accepting and reading (no query can be
+    // submitted after its acknowledgement), then every submitted query
+    // runs its callback.  Unbounded, as the dispatcher always drains: no
+    // callback may outlive *this.
     stopping.store(true, std::memory_order_release);
     for (auto& t : io) wake(*t);
-    // Drain every decoded request into the engine…
-    requests.close();
-    if (submit_thread.joinable()) submit_thread.join();
-    // …then every in-flight future into reply bytes.
-    completions.close();
-    if (completion_thread.joinable()) completion_thread.join();
-    // Flush outboxes (the I/O loops are still writing), bounded.
+    {
+      std::unique_lock<std::mutex> drain_lock(drain_mutex);
+      drain_cv.wait(drain_lock, [this] {
+        return loops_reading == 0 && queries_in_flight == 0;
+      });
+    }
+    // Step 3: flush outboxes (the I/O loops are still writing), bounded.
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -914,11 +866,13 @@ struct AmTcpServer::Impl {
       if (pending == 0 || std::chrono::steady_clock::now() >= deadline) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    // Phase 2: close everything and exit the loops.
+    // Step 4: the loops close their connections and exit; only then do
+    // their wakeup and epoll descriptors close.
     io_stop.store(true, std::memory_order_release);
     for (auto& t : io) wake(*t);
     for (auto& t : io)
       if (t->thread.joinable()) t->thread.join();
+    close_loop_fds();
     stopped = true;
   }
 };

@@ -1,23 +1,24 @@
 // Layer 8 transport: an epoll-based non-blocking TCP front door for
 // runtime::AmServer.
 //
-// Thread model (no thread ever blocks another layer's thread):
-//
-//   acceptor/I-O threads — `io_threads` epoll loops.  Thread 0 owns the
-//     listening socket; accepted connections are assigned round-robin
-//     across the loops.  I/O threads only read bytes, split/validate
-//     frames, and write queued reply bytes — they never call into the
-//     engine and never wait on a future.
-//   submit thread        — drains decoded requests, calls
-//     AmServer::submit / store / clear, and hands each query's future to
-//     the completion queue.  Admission backpressure (a kBlock scheduler)
-//     therefore stalls this thread, not the sockets.
-//   completion thread    — drains the completion queue in FIFO order,
-//     waits each future (the AmServer dispatcher always fulfills every
-//     promise), encodes the QUERY_REPLY — request_id echoed, trace_id in
-//     the reply header, degraded QueryStatus mapped to its WireCode — and
-//     appends it to the connection's outbox, waking the owning I/O loop
-//     through an eventfd.
+// Thread model: `io_threads` epoll loops and nothing else.  Thread 0 owns
+// the listening socket; accepted connections are assigned round-robin
+// across the loops.  The loop that owns a connection reads its bytes,
+// splits and validates frames, and answers HELLO, STATS, METRICS, STORE,
+// STORE_BATCH and CLEAR inline.  For a QUERY it calls AmServer::submit with
+// a completion callback; AmServer's dispatcher runs that callback for
+// answered, expired and failed queries, and the scheduler runs it inside
+// submit for rejected and shed ones.  The callback encodes the QUERY_REPLY
+// — request_id echoed, trace_id in the reply header, degraded QueryStatus
+// mapped to its WireCode — appends it to the connection's outbox and
+// wakes the owning loop through an eventfd (only when that loop's inbox
+// was empty, so replies that arrive faster than the loop drains them
+// share one wakeup); that loop writes them at once, without holding the
+// outbox lock, and arms EPOLLOUT only if the socket buffer is full.  Replies therefore leave in completion
+// order, not request order: a client that pipelines must match them by
+// request_id.  Under a kBlock scheduler a full admission queue stalls the
+// submitting loop's reads (and that loop's other connections); callbacks
+// never wait on a loop, so this cannot deadlock.
 //
 // Protocol errors are replies, not disconnects: an oversized frame is
 // answered with ERROR/kOversizedFrame and its payload discarded from the
@@ -27,14 +28,17 @@
 // `max_protocol_errors` is disconnected after the final error reply
 // flushes.  Only an unsynchronizable stream (bad magic / unsupported
 // version, where framing itself is lost) closes the connection, again
-// after an ERROR reply is flushed.
+// after an ERROR reply is flushed.  An engine failure is the server's
+// fault, not the client's: it is answered with ERROR/kInternal on that
+// query's request_id and never counts against the budget.
 //
-// Graceful shutdown (stop(), also run by the destructor): the listener
-// closes and reads stop; the submit thread drains every already-decoded
-// request; the completion thread drains every in-flight future; reply
-// bytes are flushed to every socket (bounded by drain_timeout); then the
-// I/O loops close their connections and exit.  No accepted query is
-// silently dropped.
+// Graceful shutdown (stop(), also run by the destructor): (1) the listener
+// closes and every loop acknowledges that it has stopped reading; (2) every
+// query those loops submitted runs its callback — unbounded, since no
+// callback may outlive this object; (3) reply bytes are flushed to every
+// socket, bounded by drain_timeout; (4) the loops close their connections
+// and exit, and only then are their eventfd and epoll descriptors closed.
+// No accepted query is silently dropped.
 //
 // Observability: the server registers instruments in the AmServer's
 // MetricsRegistry (exported by the existing Prometheus/JSON scrapers):
@@ -44,10 +48,10 @@
 //
 // Wire-level tracing: when the AmServer's flight recorder is on, every
 // QUERY frame's span is seeded at the I/O thread (enqueue base = the
-// frame-receipt instant) and stamped across all three thread hops —
-// io_recv → decode → submit_queue → [serving stages] → completion_wait →
-// encode → io_send — with io_send taken when the reply's last byte reaches
-// the kernel.  Such a span is recorded (flight-recorder sampling, plus the
+// frame-receipt instant) and stamped io_recv → decode → submit_queue (the
+// AmServer::submit call) → [serving stages] → encode (in the callback) →
+// io_send, with io_send taken when the reply's last byte reaches the
+// kernel.  Such a span is recorded (flight-recorder sampling, plus the
 // AmServer's slow-query log regardless of sampling) only at that final
 // stamp, so one span reconciles client-observed latency against server
 // internals.  A v3 METRICS request returns the whole registry (Prometheus
@@ -79,7 +83,7 @@ struct TcpServerOptions {
 
 class AmTcpServer {
  public:
-  // Binds, listens, and starts the serving threads; throws
+  // Binds, listens, and starts the `io_threads` loops; throws
   // std::invalid_argument on bad options and std::runtime_error on socket
   // failures.  `server` must outlive this object.
   AmTcpServer(runtime::AmServer& server, TcpServerOptions options = {});

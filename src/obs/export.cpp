@@ -148,7 +148,6 @@ void json_span(std::ostream& out, const SpanRecord& span) {
       << ",\"merge_ns\":" << span.merge_ns << ",\"io_recv_ns\":"
       << span.io_recv_ns << ",\"decode_ns\":" << span.decode_ns
       << ",\"submit_queue_ns\":" << span.submit_queue_ns
-      << ",\"completion_wait_ns\":" << span.completion_wait_ns
       << ",\"encode_ns\":" << span.encode_ns << ",\"io_send_ns\":"
       << span.io_send_ns << ",\"wire\":" << (span.wire() ? "true" : "false")
       << ",\"k\":" << span.k << ",\"generation\":" << span.generation << '}';

@@ -10,15 +10,15 @@
 // times, so durations are the honest representation).  A span is plain data
 // with fixed layout — no heap allocation is ever performed per span.
 //
-// Queries arriving over TCP carry six additional *wire* stages stamped by
-// AmTcpServer's three thread groups, all offsets from the same enqueue
-// base, which for a wire query is the instant its frame was completely
-// received: io_recv (frame bytes complete) → decode (payload parsed) →
-// submit_queue (submit thread picked the request up) → …server stages… →
-// completion_wait (completion thread saw the result) → encode (reply bytes
-// built) → io_send (last reply byte handed to the kernel).  Stamped stages
-// are monotone in that order, so one sampled span reconciles
-// client-observed latency against every queue the server put it through.
+// Queries arriving over TCP carry five additional *wire* stages, all
+// offsets from the same enqueue base, which for a wire query is the
+// instant its frame was completely received: io_recv (frame bytes
+// complete) → decode (payload parsed) → submit_queue (the I/O thread calls
+// AmServer::submit) → …server stages… → encode (reply bytes built, in the
+// query's completion callback) → io_send (last reply byte handed to the
+// kernel, by the I/O thread).  Stamped stages are monotone in that order,
+// so one sampled span reconciles client-observed latency against every
+// queue the server put it through.
 // wire() distinguishes the two populations.
 //
 // Completed spans land in a FlightRecorder: a fixed-capacity ring buffer
@@ -109,7 +109,6 @@ struct SpanRecord {
   std::int64_t io_recv_ns = -1;
   std::int64_t decode_ns = -1;
   std::int64_t submit_queue_ns = -1;
-  std::int64_t completion_wait_ns = -1;
   std::int64_t encode_ns = -1;
   std::int64_t io_send_ns = -1;
   // Query metadata, for the slow-log breakdown: requested k and the index

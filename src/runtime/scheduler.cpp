@@ -1,6 +1,7 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -9,7 +10,7 @@ namespace tdam::runtime {
 
 namespace {
 
-// Fulfil a query's promise with a shards-never-touched terminal status,
+// Complete a query with a shards-never-touched terminal status,
 // closing out its trace span if the query carries one.  Wire spans are NOT
 // recorded here: the TCP server still owes them encode/io_send stamps, so
 // the stamped span travels back through ServedResult instead.
@@ -30,10 +31,22 @@ void finish(PendingQuery& query, QueryStatus status,
     }
     out.span = query.span;
   }
-  query.promise.set_value(std::move(out));
+  if (query.done) query.done(std::move(out), nullptr);
 }
 
 }  // namespace
+
+std::future<ServedResult> bind_future(ServedCallback& done) {
+  auto promise = std::make_shared<std::promise<ServedResult>>();
+  auto future = promise->get_future();
+  done = [promise](ServedResult result, std::exception_ptr error) {
+    if (error)
+      promise->set_exception(std::move(error));
+    else
+      promise->set_value(std::move(result));
+  };
+  return future;
+}
 
 Scheduler::Scheduler(SchedulerOptions options, ServingMetrics* metrics,
                      obs::FlightRecorder* recorder, obs::SlowQueryLog* slow)

@@ -2,7 +2,7 @@
 //
 // The Scheduler is the synchronization core of AmServer, factored out so it
 // can be unit-tested without an engine: callers enqueue individual queries
-// (each carrying its own top-k, deadline, and completion promise), a single
+// (each carrying its own top-k, deadline, and completion callback), a single
 // dispatcher thread pulls dynamic micro-batches, and a bounded queue applies
 // one of three admission policies when the dispatcher falls behind:
 //
@@ -26,8 +26,10 @@
 #pragma once
 
 #include <chrono>
-#include <deque>
 #include <condition_variable>
+#include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <vector>
@@ -67,10 +69,23 @@ struct ServedResult {
   // The query's full trace span at its server-side terminal transition.
   // For in-process queries the server already recorded it; for wire
   // queries (span.wire()) recording is DEFERRED — AmTcpServer stamps the
-  // remaining wire stages (completion_wait/encode/io_send) onto this copy
-  // and records it once the reply bytes reach the kernel.
+  // remaining wire stages (encode/io_send) onto this copy and records it
+  // once the reply bytes reach the kernel.
   obs::SpanRecord span;
 };
+
+// A query's one completion: called exactly once with its terminal state,
+// or with the exception the engine threw (`result` is then default).  It
+// runs on the dispatcher thread for answered, expired and failed queries,
+// and inside the enqueue() call that rejects or sheds the query otherwise,
+// so it must not wait on anything that waits on either of those threads.
+using ServedCallback =
+    std::function<void(ServedResult result, std::exception_ptr error)>;
+
+// Points `done` at a fresh promise and returns its future: the engine's
+// exception reaches the future as that exception.  The future-returning
+// AmServer::submit overloads are built on this.
+std::future<ServedResult> bind_future(ServedCallback& done);
 
 struct SchedulerOptions {
   int max_batch = 32;            // flush when this many queries pend
@@ -86,7 +101,8 @@ struct PendingQuery {
   // steady_clock::time_point::max() == no deadline.
   std::chrono::steady_clock::time_point deadline;
   std::chrono::steady_clock::time_point enqueued;
-  std::promise<ServedResult> promise;
+  // May be empty (bare-scheduler tests): the query then finishes silently.
+  ServedCallback done;
   // Trace span riding along with the query; untraced (enqueue_ns == -1)
   // unless AmServer stamped it at submit, and every stamp below is guarded
   // on that, so scheduler-only tests pay nothing.
@@ -110,15 +126,17 @@ class Scheduler {
 
   // Safety net for owners destroyed with queries still queued (a dispatcher
   // that never drained, an owner whose constructor threw): closes admission
-  // and fulfils every pending promise with kRejected, so a submit() future
+  // and completes every pending query with kRejected, so a submit() future
   // never observes std::future_error/broken_promise.
   ~Scheduler();
 
   const SchedulerOptions& options() const { return options_; }
 
   // Hands one query to the scheduler, applying the admission policy.  The
-  // query's promise is always eventually fulfilled: by the dispatcher, by
-  // shedding, or by rejection (including enqueue-after-close).
+  // query's callback always eventually runs: from the dispatcher, from
+  // this call on rejection (including enqueue-after-close), or from the
+  // later enqueue() that sheds it.  Under kBlock a full queue stalls the
+  // caller here until the dispatcher frees a slot.
   void enqueue(PendingQuery query);
 
   // Blocks until a micro-batch is ready (max_batch pending, max_delay

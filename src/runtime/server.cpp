@@ -19,7 +19,7 @@ double seconds_between(std::chrono::steady_clock::time_point a,
 // Queue-wait duration for a span: batch-form minus the submit-queue stamp.
 // In-process queries have no submit_queue stamp (offset -1 → clamped to 0),
 // so their queue wait is the full enqueue→batch-form interval; wire queries
-// subtract the receive/decode/submit time that preceded scheduler admission,
+// subtract the receive/decode time that preceded their submit call,
 // keeping the queue_wait stage family a pure admission-queue measurement.
 double queue_wait_seconds(const obs::SpanRecord& span) {
   return static_cast<double>(span.batch_form_ns -
@@ -59,12 +59,15 @@ void AmServer::shutdown() {
 std::future<ServedResult> AmServer::submit(
     std::span<const int> query, int k,
     std::chrono::steady_clock::time_point deadline) {
-  return submit(query, k, deadline, obs::SpanRecord{});
+  ServedCallback done;
+  auto future = bind_future(done);
+  submit(query, k, deadline, obs::SpanRecord{}, std::move(done));
+  return future;
 }
 
-std::future<ServedResult> AmServer::submit(
-    std::span<const int> query, int k,
-    std::chrono::steady_clock::time_point deadline, obs::SpanRecord seed) {
+void AmServer::submit(std::span<const int> query, int k,
+                      std::chrono::steady_clock::time_point deadline,
+                      obs::SpanRecord seed, ServedCallback done) {
   if (k < 1)
     throw std::invalid_argument("AmServer::submit: k must be >= 1");
   if (static_cast<int>(query.size()) != index_.stages())
@@ -82,6 +85,7 @@ std::future<ServedResult> AmServer::submit(
   pending.k = k;
   pending.deadline = deadline;
   pending.enqueued = std::chrono::steady_clock::now();
+  pending.done = std::move(done);
   // Ids are assigned even with tracing off so every ServedResult is
   // correlatable; the enqueue stamp (which arms all later stage stamps) is
   // only taken when tracing is on.  A traced wire seed already carries its
@@ -94,9 +98,7 @@ std::future<ServedResult> AmServer::submit(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             pending.enqueued.time_since_epoch())
             .count();
-  auto future = pending.promise.get_future();
   scheduler_.enqueue(std::move(pending));
-  return future;
 }
 
 std::vector<std::future<ServedResult>> AmServer::submit(
@@ -157,7 +159,7 @@ void AmServer::run_batch(std::vector<PendingQuery> batch) {
         }
         out.span = query.span;
       }
-      query.promise.set_value(std::move(out));
+      query.done(std::move(out), nullptr);
     } else {
       live.push_back(std::move(query));
     }
@@ -190,7 +192,7 @@ void AmServer::run_batch(std::vector<PendingQuery> batch) {
       results = engine_.submit_batch(snap, packed, k);
     } catch (...) {
       for (const auto i : members)
-        live[i].promise.set_exception(std::current_exception());
+        live[i].done(ServedResult{}, std::current_exception());
       continue;
     }
     for (std::size_t j = 0; j < members.size(); ++j) {
@@ -231,7 +233,7 @@ void AmServer::run_batch(std::vector<PendingQuery> batch) {
       pre.scan = -1.0;
       pre.merge = -1.0;
       engine_.metrics().record_stage_times(pre);
-      query.promise.set_value(std::move(out));
+      query.done(std::move(out), nullptr);
     }
   }
 }

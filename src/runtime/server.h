@@ -3,10 +3,11 @@
 // The paper answers one query in a single pulse propagation across M
 // parallel chains; the serving layer must therefore never serialize callers
 // behind a blocking batch API.  AmServer accepts individual queries from
-// any number of threads (`submit` returns a std::future immediately),
-// coalesces them into dynamic micro-batches on a Scheduler (flush on
-// max_batch or max_delay, whichever first), and runs each batch on the
-// owned SearchEngine from a single dispatcher thread.
+// any number of threads (`submit` returns immediately, with a std::future
+// or with a completion callback the dispatcher later runs), coalesces them
+// into dynamic micro-batches on a Scheduler (flush on max_batch or
+// max_delay, whichever first), and runs each batch on the owned
+// SearchEngine from a single dispatcher thread.
 //
 // Degradation is explicit, observable, and per-query:
 //  * admission   — the Scheduler's bounded queue applies kBlock / kReject /
@@ -75,23 +76,29 @@ class AmServer {
   // Asynchronously answers one query of index().stages() digits with its
   // global top-k.  Validates digits/k synchronously (throws
   // std::invalid_argument); admission-control and deadline outcomes arrive
-  // through the future's QueryStatus instead.  Thread-safe.
+  // through the future's QueryStatus instead, and an engine failure as the
+  // future's exception.  Thread-safe.  A thin wrapper over the callback
+  // form below (see bind_future).
   std::future<ServedResult> submit(
       std::span<const int> query, int k,
       std::chrono::steady_clock::time_point deadline = kNoDeadline);
 
-  // Wire-path form: `seed` is a partially stamped span carrying the stages
-  // that happened before the query reached this server (io_recv / decode /
-  // submit_queue, with enqueue_ns = the frame-receipt instant as the base
-  // every later stamp offsets from).  The server assigns the trace id,
-  // keeps the seed's base, and stamps onward from it — so one span
-  // reconciles wire time against queue/dispatch/scan time.  A wire span
-  // (seed.wire()) is NOT recorded at the server-side terminal transition:
-  // it travels back through ServedResult::span for the TCP front-end to
-  // finish (completion_wait / encode / io_send) and record.
-  std::future<ServedResult> submit(
-      std::span<const int> query, int k,
-      std::chrono::steady_clock::time_point deadline, obs::SpanRecord seed);
+  // Callback form, the wire path's: `done` (required) runs exactly once
+  // with the terminal state (see ServedCallback for which thread runs it),
+  // unless validation throws, in which case it never runs.  `seed` is a
+  // partially stamped span carrying the stages that happened before the
+  // query reached this server (io_recv / decode / submit_queue, with
+  // enqueue_ns = the frame-receipt instant as the base every later stamp
+  // offsets from).
+  // The server assigns the trace id, keeps the seed's base, and stamps
+  // onward from it — so one span reconciles wire time against
+  // queue/dispatch/scan time.  A wire span (seed.wire()) is NOT recorded at
+  // the server-side terminal transition: it travels to `done` through
+  // ServedResult::span for the TCP front-end to finish (encode / io_send)
+  // and record.  Under a kBlock scheduler a full queue stalls the caller.
+  void submit(std::span<const int> query, int k,
+              std::chrono::steady_clock::time_point deadline,
+              obs::SpanRecord seed, ServedCallback done);
 
   // Packed form: one future per row of `queries` (validated against the
   // index geometry), all sharing one deadline.

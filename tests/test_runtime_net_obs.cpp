@@ -1,7 +1,7 @@
 // Wire-level observability over loopback sockets: AmClient ↔ AmTcpServer ↔
 // AmServer with tracing on.  The load-bearing assertions: a query served
 // over TCP yields ONE span whose wire stages (io_recv → decode →
-// submit_queue → … → completion_wait → encode → io_send) are non-negative,
+// submit_queue → … → encode → io_send) are non-negative,
 // monotonically ordered, and bounded by the latency the client itself
 // measured; the slow-query log captures by threshold and not by sampling
 // stride; the v3 METRICS message and the embedded HTTP listener both hand
@@ -150,7 +150,7 @@ TEST(RuntimeNetObs, WireStagesMonotoneAndBoundedByClientWallOnAllBackends) {
       const std::int64_t chain[] = {
           span.io_recv_ns,  span.decode_ns, span.submit_queue_ns,
           span.admit_ns,    span.batch_form_ns, span.dispatch_ns,
-          span.fulfill_ns,  span.completion_wait_ns, span.encode_ns,
+          span.fulfill_ns,  span.encode_ns,
           span.io_send_ns};
       EXPECT_GE(chain[0], 0);
       for (std::size_t i = 1; i < std::size(chain); ++i)

@@ -13,11 +13,14 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "am/calibration.h"
+#include "core/exact_backend.h"
+#include "core/registry.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "runtime/backends.h"
@@ -78,6 +81,60 @@ struct Stack {
   }
 
   AmClient connect() const { return AmClient("127.0.0.1", tcp->port()); }
+};
+
+double counter_value(const runtime::AmServer& am, const std::string& name) {
+  for (const auto* c : am.metrics().registry().counters())
+    if (c->name() == name) return c->value();
+  return 0.0;
+}
+
+// Exact backend whose search hook throws for any query that starts with
+// kFailDigit: an engine failure on demand, which the wire must report as
+// ERROR/kInternal.
+class FailingBackend final : public core::SimilarityBackend {
+ public:
+  static constexpr int kFailDigit = 3;
+  static constexpr int kLevels = 4;
+
+  FailingBackend(int stages, int levels) : inner_(stages, levels) {}
+
+  std::string name() const override { return "failing"; }
+  core::DigitMetric metric() const override { return inner_.metric(); }
+  int stages() const override { return inner_.stages(); }
+  int levels() const override { return inner_.levels(); }
+  int rows() const override { return inner_.rows(); }
+  int store(std::span<const int> digits) override {
+    return inner_.store(digits);
+  }
+  void clear() override { inner_.clear(); }
+  std::vector<int> row_digits(int row) const override {
+    return inner_.row_digits(row);
+  }
+  std::vector<core::BackendTopK> search_topk_packed_batch(
+      const core::DigitMatrix& queries, int first, int count,
+      int k) const override {
+    for (int r = first; r < first + count; ++r)
+      if (queries.unpack_row(r).front() == kFailDigit)
+        throw std::runtime_error("injected search failure");
+    return inner_.search_topk_packed_batch(queries, first, count, k);
+  }
+  int query_tile() const override { return inner_.query_tile(); }
+  void adopt_matrix(core::DigitMatrix matrix) override {
+    inner_.adopt_matrix(std::move(matrix));
+  }
+  const core::DigitMatrix* packed_view() const override {
+    return inner_.packed_view();
+  }
+  core::QueryCost query_cost(double mismatch_fraction) const override {
+    return inner_.query_cost(mismatch_fraction);
+  }
+  std::size_t resident_bytes() const override {
+    return inner_.resident_bytes();
+  }
+
+ private:
+  core::ExactL1Backend inner_;
 };
 
 // --- parity with the in-process engine -----------------------------------
@@ -418,6 +475,58 @@ TEST(RuntimeNetServer, ProtocolErrorBudgetDisconnectsAbusiveConnection) {
   EXPECT_FALSE(client.recv(reply));  // budget exhausted: clean EOF
 }
 
+TEST(RuntimeNetServer, EngineFailureRepliesInternalAndKeepsServing) {
+  constexpr int kLevels = FailingBackend::kLevels, kTopK = 5, kMaxErrors = 3;
+  core::BackendRegistry registry;
+  registry.add("failing", [] {
+    return std::make_unique<FailingBackend>(kStages, FailingBackend::kLevels);
+  });
+  runtime::ShardedIndex index(
+      registry, runtime::ShardedIndexOptions{.backend = "failing",
+                                             .shards = 2});
+  Rng rng(11);
+  for (int v = 0; v < 32; ++v)
+    index.store(random_digits(rng, kStages, kLevels));
+  auto good = random_digits(rng, kStages, kLevels);
+  good.front() = 0;
+  auto bad = good;
+  bad.front() = FailingBackend::kFailDigit;
+  std::vector<core::TopKEntry> expected;
+  {
+    runtime::SearchEngine engine(index, {.threads = 1});
+    const std::vector<std::vector<int>> batch{good};
+    expected = engine.submit_batch(batch, kTopK).front().entries;
+  }
+
+  runtime::AmServer am(index, {.engine = {.threads = 1},
+                               .scheduler = {.max_delay = 1e-3}});
+  // In process, the engine's exception reaches the future as itself.
+  EXPECT_THROW(am.submit(bad, kTopK).get(), std::runtime_error);
+
+  // Over the wire, each failure is ERROR/kInternal on its own request id.
+  // The server failed, not the client: more failures than the protocol
+  // error budget must not cost the connection.
+  AmTcpServer tcp(am, {.max_protocol_errors = kMaxErrors});
+  AmClient client("127.0.0.1", tcp.port());
+  for (int i = 0; i < kMaxErrors + 2; ++i) {
+    const auto id = client.send_query(to_wire(bad), kTopK);
+    AmClient::Reply reply;
+    ASSERT_TRUE(client.recv(reply)) << "server hung up after failure " << i;
+    ASSERT_EQ(reply.type, MsgType::kError);
+    EXPECT_EQ(reply.error.code, WireCode::kInternal);
+    EXPECT_EQ(reply.request_id, id);
+  }
+  const auto reply = client.query(to_wire(good), kTopK);
+  ASSERT_EQ(reply.type, MsgType::kQueryReply);
+  ASSERT_EQ(reply.query.code, WireCode::kOk);
+  ASSERT_EQ(reply.query.entries.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(reply.query.entries[i].row, expected[i].row) << "entry " << i;
+    EXPECT_EQ(reply.query.entries[i].score, expected[i].score)
+        << "entry " << i;
+  }
+}
+
 TEST(RuntimeNetServer, NonPositiveFrameCapThrows) {
   Stack stack("behavioral", 4);
   EXPECT_THROW(AmTcpServer(*stack.am, {.max_frame_bytes = 0}),
@@ -471,6 +580,44 @@ TEST(RuntimeNetServer, StopAnswersEveryInFlightQueryBeforeClosing) {
   }
   EXPECT_EQ(replies, kInFlight);
   EXPECT_EQ(stack.tcp->connections(), 0);
+}
+
+TEST(RuntimeNetServer, RejectedReplyIsNotHeldBehindAnotherConnectionsQuery) {
+  // Connection A's query holds the one queue slot for the 0.5 s batching
+  // delay.  Connection B's query is bounced at admission, and its kRejected
+  // reply must leave at once, not wait behind A's still-queued query.
+  Stack stack("behavioral", 64,
+              {.max_batch = 64, .max_delay = 0.5, .queue_capacity = 1,
+               .policy = runtime::AdmissionPolicy::kReject});
+  auto a = stack.connect();
+  auto b = stack.connect();
+  Rng rng(5);
+  const auto a_id = a.send_query(
+      to_wire(random_digits(rng, kStages, stack.index->levels())), 3);
+
+  // Wait until the server has counted A's frame and queued its query.
+  const auto poll_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (counter_value(*stack.am, "tdam_net_frames_in_total") < 1 ||
+         stack.am->metrics().snapshot().queue_depth < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), poll_deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto rejected = b.query(
+      to_wire(random_digits(rng, kStages, stack.index->levels())), 3);
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  ASSERT_EQ(rejected.type, MsgType::kQueryReply);
+  EXPECT_EQ(rejected.query.code, WireCode::kRejected);
+  EXPECT_LT(waited, 0.2) << "B's rejection waited behind A's query";
+
+  AmClient::Reply served;
+  ASSERT_TRUE(a.recv(served));
+  EXPECT_EQ(served.request_id, a_id);
+  EXPECT_EQ(served.query.code, WireCode::kOk);
 }
 
 TEST(RuntimeNetServer, MetricsInstrumentsAppearInServerRegistry) {

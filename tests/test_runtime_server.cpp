@@ -82,7 +82,7 @@ TEST(RuntimeScheduler, RejectPolicyFailsTheNewQueryWhenFull) {
   auto q0 = pending({0});
   auto q1 = pending({1});
   auto q2 = pending({2});
-  auto f2 = q2.promise.get_future();
+  auto f2 = bind_future(q2.done);
   s.enqueue(std::move(q0));
   s.enqueue(std::move(q1));
   s.enqueue(std::move(q2));  // over capacity: bounced, queue untouched
@@ -98,7 +98,7 @@ TEST(RuntimeScheduler, ShedOldestEvictsTheHeadAndAdmitsTheNewQuery) {
                .queue_capacity = 2,
                .policy = AdmissionPolicy::kShedOldest});
   auto q0 = pending({0});
-  auto f0 = q0.promise.get_future();
+  auto f0 = bind_future(q0.done);
   s.enqueue(std::move(q0));
   s.enqueue(pending({1}));
   s.enqueue(pending({2}));  // full: q0 (the oldest) is shed
@@ -144,7 +144,7 @@ TEST(RuntimeScheduler, CloseFlushesPendingThenReturnsEmptyAndRejectsNewWork) {
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_TRUE(s.next_batch().empty());  // drained: dispatcher exit signal
   auto late = pending({2});
-  auto f = late.promise.get_future();
+  auto f = bind_future(late.done);
   s.enqueue(std::move(late));
   EXPECT_EQ(f.get().status, QueryStatus::kRejected);
 }
@@ -467,7 +467,7 @@ TEST(RuntimeScheduler, DestructorRejectsStillQueuedQueries) {
     Scheduler s({.max_batch = 64, .max_delay = 60.0, .queue_capacity = 64});
     for (int i = 0; i < 5; ++i) {
       auto q = pending({i});
-      futures.push_back(q.promise.get_future());
+      futures.push_back(bind_future(q.done));
       s.enqueue(std::move(q));
     }
   }  // ~Scheduler with 5 queries queued and no dispatcher
