@@ -68,7 +68,6 @@ double run_once(Workload& w, const obs::TraceConfig& trace, int threads,
   runtime::AmServer server(
       w.index, {.engine = {.threads = threads},
                 .scheduler = {.max_batch = batch,
-                              .max_delay = 200e-6,
                               .queue_capacity = 4096,
                               .policy = runtime::AdmissionPolicy::kBlock},
                 .trace = trace});
@@ -95,7 +94,6 @@ double run_once_wire(Workload& w, const obs::TraceConfig& trace, int threads,
   runtime::AmServer server(
       w.index, {.engine = {.threads = threads},
                 .scheduler = {.max_batch = batch,
-                              .max_delay = 200e-6,
                               .queue_capacity = 4096,
                               .policy = runtime::AdmissionPolicy::kBlock},
                 .trace = trace});

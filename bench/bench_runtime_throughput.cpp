@@ -21,8 +21,8 @@
 //   $ ./bench_runtime_throughput --backend=exact --benchmark_filter='/8/4/16384'
 //   $ ./bench_runtime_throughput --open-loop --ol-qps=2000,10000,50000
 //       [--ol-vectors=16384] [--ol-shards=4] [--ol-threads=4]
-//       [--ol-queries=4000] [--ol-batch=32] [--ol-max-delay-us=1000]
-//       [--ol-deadline-us=20000] [--ol-queue-cap=256]
+//       [--ol-queries=4000] [--ol-batch=32] [--ol-deadline-us=20000]
+//       [--ol-queue-cap=256]
 //       [--ol-policy=block|reject|shed] [--ol-out=BENCH_runtime.json]
 //
 // --ol-out writes the open-loop sweep as BENCH_runtime.json (schema
@@ -144,7 +144,6 @@ int run_open_loop(const tdam::CliArgs& args) {
   const int threads = args.get_int("ol-threads", 4);
   const int queries = args.get_int("ol-queries", 4000);
   const int batch = args.get_int("ol-batch", 32);
-  const int max_delay_us = args.get_int("ol-max-delay-us", 1000);
   const int deadline_us = args.get_int("ol-deadline-us", 20000);
   const int queue_cap = args.get_int("ol-queue-cap", 256);
   const auto policy = args.get("ol-policy", "shed");
@@ -166,7 +165,6 @@ int run_open_loop(const tdam::CliArgs& args) {
     runtime::AmServer server(
         w.index, {.engine = {.threads = threads},
                   .scheduler = {.max_batch = batch,
-                                .max_delay = max_delay_us * 1e-6,
                                 .queue_capacity = queue_cap,
                                 .policy = parse_policy(policy)}});
     const auto interarrival = std::chrono::duration_cast<Clock::duration>(
@@ -263,7 +261,6 @@ int run_open_loop(const tdam::CliArgs& args) {
         .field("threads", threads)
         .field("queries", queries)
         .field("batch", batch)
-        .field("max_delay_us", max_delay_us)
         .field("deadline_us", deadline_us)
         .field("queue_capacity", queue_cap)
         .field("policy", policy)

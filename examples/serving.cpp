@@ -36,7 +36,7 @@
 //               [--bits=2] [--shards=4] [--threads=4] [--batch=32] [--k=3]
 //               [--train=800] [--test=300] [--stats] [--export=prom|json|both]
 //   $ ./serving --async [--policy=block|reject|shed] [--queue-cap=1024]
-//               [--max-delay-us=2000] [--deadline-us=0]   # 0 = no deadline
+//               [--deadline-us=0]   # 0 = no deadline
 //               [--store-rate=0]  # rows/s stored live while queries run
 //   $ ./serving --backend=cosine --mvm   # also demo y = A·x on the same rows
 //
@@ -212,13 +212,11 @@ int main(int argc, char** argv) {
     // --- asynchronous front-end: per-query futures over AmServer ---
     const auto policy = parse_policy(args.get("policy", "block"));
     const int queue_cap = args.get_int("queue-cap", 1024);
-    const int max_delay_us = args.get_int("max-delay-us", 2000);
     const int deadline_us = args.get_int("deadline-us", 0);
     const int store_rate = args.get_int("store-rate", 0);
     runtime::AmServer server(
         index, {.engine = {.threads = threads},
                 .scheduler = {.max_batch = batch,
-                              .max_delay = max_delay_us * 1e-6,
                               .queue_capacity = queue_cap,
                               .policy = policy}});
     // Live ingest stream: paced random stores racing the queries below.
@@ -280,9 +278,9 @@ int main(int argc, char** argv) {
     server.shutdown();
     std::printf(
         "async-served %zu queries on '%s' (policy=%s, queue=%d, "
-        "max_batch=%d, max_delay=%dus, deadline=%dus)\n",
+        "max_batch=%d, deadline=%dus)\n",
         queries.size(), backend.c_str(), args.get("policy", "block").c_str(),
-        queue_cap, batch, max_delay_us, deadline_us);
+        queue_cap, batch, deadline_us);
     std::printf("status: ok=%d rejected=%d shed=%d expired=%d\n", tally.ok,
                 tally.rejected, tally.shed, tally.expired);
     if (tally.ok > 0)

@@ -150,8 +150,7 @@ RUNTIME_COUNT_KEYS = ("ok", "rejected", "shed", "expired")
 RUNTIME_RATE_KEYS = ("target_qps", "achieved_qps", "p50_ms", "p99_ms",
                      "shed_rate")
 RUNTIME_CONFIG_KEYS = {"vectors", "shards", "threads", "queries", "batch",
-                       "max_delay_us", "deadline_us", "queue_capacity",
-                       "policy"}
+                       "deadline_us", "queue_capacity", "policy"}
 
 
 def check_runtime_throughput(doc: dict) -> int:

@@ -7,8 +7,8 @@
 //    waiting and return its request_id; recv() blocks for the next reply
 //    frame, which the caller MUST correlate by Reply::request_id: the
 //    server does not answer in request order (a STATS reply can overtake
-//    a query, and queries of different k in one micro-batch can finish in
-//    either order).  Keeping many queries in flight on one connection is
+//    a query, and a rejected query overtakes the queued ones ahead of
+//    it).  Keeping many queries in flight on one connection is
 //    how loadgen reaches high QPS without a thread per request.
 //
 // Degraded queries are normal replies: a query bounced by admission control

@@ -96,9 +96,8 @@ class SearchEngine {
   std::vector<TopKResult> submit_batch(const core::DigitMatrix& queries,
                                        int k);
 
-  // Same, against a caller-pinned snapshot — what AmServer uses so every
-  // query of one micro-batch (across its per-k sub-batches) sees a single
-  // epoch.
+  // Same, against a caller-pinned snapshot — what AmServer uses to stamp
+  // every answer of a micro-batch with the epoch it was computed against.
   std::vector<TopKResult> submit_batch(
       const std::shared_ptr<const IndexSnapshot>& snap,
       const core::DigitMatrix& queries, int k);

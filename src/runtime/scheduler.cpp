@@ -18,9 +18,6 @@ void finish(PendingQuery& query, QueryStatus status,
             obs::FlightRecorder* recorder, obs::SlowQueryLog* slow) {
   ServedResult out;
   out.status = status;
-  out.queue_seconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - query.enqueued)
-                          .count();
   out.trace_id = query.span.trace_id;
   if (query.span.traced()) {
     query.span.status = static_cast<int>(status);
@@ -57,8 +54,6 @@ Scheduler::Scheduler(SchedulerOptions options, ServingMetrics* metrics,
   if (options_.queue_capacity < 1)
     throw std::invalid_argument("Scheduler: queue_capacity must be >= 1 (got " +
                                 std::to_string(options_.queue_capacity) + ")");
-  if (options_.max_delay < 0.0)
-    throw std::invalid_argument("Scheduler: max_delay must be >= 0");
 }
 
 Scheduler::~Scheduler() {
@@ -122,26 +117,7 @@ void Scheduler::enqueue(PendingQuery query) {
 
 std::vector<PendingQuery> Scheduler::next_batch() {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (queue_.empty()) {
-      if (closed_) return {};
-      batch_ready_.wait(lock,
-                        [this] { return closed_ || !queue_.empty(); });
-      continue;  // re-evaluate: close() with an empty queue returns above
-    }
-    if (closed_ ||
-        queue_.size() >= static_cast<std::size_t>(options_.max_batch))
-      break;
-    const auto flush_at =
-        queue_.front().enqueued +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options_.max_delay));
-    if (!batch_ready_.wait_until(lock, flush_at, [this] {
-          return closed_ || queue_.size() >=
-                                static_cast<std::size_t>(options_.max_batch);
-        }))
-      break;  // max_delay elapsed on the oldest query: flush what pends
-  }
+  batch_ready_.wait(lock, [this] { return closed_ || !queue_.empty(); });
   std::vector<PendingQuery> batch;
   const auto take = std::min(queue_.size(),
                              static_cast<std::size_t>(options_.max_batch));

@@ -14,11 +14,12 @@
 //                 of the queue has burned the most of its deadline, so it
 //                 is the least likely to still be useful).
 //
-// Batch formation is the classic dynamic rule: flush as soon as max_batch
-// queries pend, or as soon as the oldest pending query has waited
-// max_delay, whichever comes first.  close() flushes whatever pends,
-// releases blocked producers (their queries are rejected), and makes
-// next_batch() return empty once drained.
+// Batch formation is work-conserving: the dispatcher takes whatever pends
+// (up to max_batch) the moment it asks, and waits only while the queue is
+// empty.  Nothing waits for company, so a lone query is dispatched at once;
+// under load, queries pile up while the dispatcher runs a batch, so the
+// next one fills.  close() releases blocked producers (their queries are
+// rejected) and makes next_batch() return empty once drained.
 //
 // Deadlines are NOT enforced here — the scheduler only transports them.
 // AmServer checks them at dequeue so an expired query is answered with
@@ -54,8 +55,7 @@ enum class AdmissionPolicy { kBlock, kReject, kShedOldest };
 // What a submit() future resolves to.
 struct ServedResult {
   QueryStatus status = QueryStatus::kRejected;
-  TopKResult result;           // populated iff status == kOk
-  double queue_seconds = 0.0;  // enqueue -> terminal transition
+  TopKResult result;  // populated iff status == kOk
   // ShardedIndex::generation() the answer was computed against (kOk only);
   // lets a caller correlate answers with concurrent stores/clears.
   std::uint64_t generation = 0;
@@ -88,9 +88,8 @@ using ServedCallback =
 std::future<ServedResult> bind_future(ServedCallback& done);
 
 struct SchedulerOptions {
-  int max_batch = 32;            // flush when this many queries pend
-  double max_delay = 2e-3;       // s; flush when the oldest waited this long
-  int queue_capacity = 1024;     // bound on pending queries
+  int max_batch = 32;         // most queries one micro-batch takes
+  int queue_capacity = 1024;  // bound on pending queries
   AdmissionPolicy policy = AdmissionPolicy::kBlock;
 };
 
@@ -100,7 +99,6 @@ struct PendingQuery {
   int k = 1;
   // steady_clock::time_point::max() == no deadline.
   std::chrono::steady_clock::time_point deadline;
-  std::chrono::steady_clock::time_point enqueued;
   // May be empty (bare-scheduler tests): the query then finishes silently.
   ServedCallback done;
   // Trace span riding along with the query; untraced (enqueue_ns == -1)
@@ -111,10 +109,10 @@ struct PendingQuery {
 
 class Scheduler {
  public:
-  // Validates options (max_batch/queue_capacity >= 1, max_delay >= 0,
-  // max_batch <= queue_capacity would deadlock kBlock producers — allowed,
-  // batches simply flush at queue_capacity).  Metrics may be null; when
-  // set, rejected/shed counters and the queue-depth gauge are recorded.
+  // Validates options (max_batch/queue_capacity >= 1; a max_batch above
+  // queue_capacity is allowed, batches then simply cap at queue_capacity).
+  // Metrics may be null; when set, rejected/shed counters and the
+  // queue-depth gauge are recorded.
   // Recorder may be null; when set, queries terminated here (rejected,
   // shed) have their spans stamped and recorded — except wire spans, whose
   // recording AmTcpServer owns (see ServedResult::span).  The slow log,
@@ -139,11 +137,10 @@ class Scheduler {
   // caller here until the dispatcher frees a slot.
   void enqueue(PendingQuery query);
 
-  // Blocks until a micro-batch is ready (max_batch pending, max_delay
-  // elapsed on the oldest, or close() with queries still queued) and pops
-  // up to max_batch queries in arrival order.  Returns an empty vector
-  // exactly when the scheduler is closed and fully drained — the
-  // dispatcher's exit condition.
+  // Blocks only while the queue is empty and open, then pops up to
+  // max_batch queries in arrival order.  Returns an empty vector exactly
+  // when the scheduler is closed and fully drained — the dispatcher's exit
+  // condition.
   std::vector<PendingQuery> next_batch();
 
   // Stops admission (subsequent/blocked enqueues reject), wakes the

@@ -1,7 +1,6 @@
 #include "runtime/server.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,11 +10,6 @@
 namespace tdam::runtime {
 
 namespace {
-double seconds_between(std::chrono::steady_clock::time_point a,
-                       std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
 // Queue-wait duration for a span: batch-form minus the submit-queue stamp.
 // In-process queries have no submit_queue stamp (offset -1 → clamped to 0),
 // so their queue wait is the full enqueue→batch-form interval; wire queries
@@ -84,7 +78,6 @@ void AmServer::submit(std::span<const int> query, int k,
   pending.digits.assign(query.begin(), query.end());
   pending.k = k;
   pending.deadline = deadline;
-  pending.enqueued = std::chrono::steady_clock::now();
   pending.done = std::move(done);
   // Ids are assigned even with tracing off so every ServedResult is
   // correlatable; the enqueue stamp (which arms all later stage stamps) is
@@ -94,10 +87,7 @@ void AmServer::submit(std::span<const int> query, int k,
   pending.span = seed;
   pending.span.trace_id = recorder_.next_trace_id();
   if (pending.span.enqueue_ns < 0 && recorder_.enabled())
-    pending.span.enqueue_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            pending.enqueued.time_since_epoch())
-            .count();
+    pending.span.enqueue_ns = obs::steady_now_ns();
   scheduler_.enqueue(std::move(pending));
 }
 
@@ -144,7 +134,6 @@ void AmServer::run_batch(std::vector<PendingQuery> batch) {
       engine_.metrics().record_expired();
       ServedResult out;
       out.status = QueryStatus::kDeadlineExpired;
-      out.queue_seconds = seconds_between(query.enqueued, now);
       out.trace_id = query.span.trace_id;
       if (query.span.traced()) {
         if (query.span.batch_form_ns >= 0)
@@ -166,75 +155,73 @@ void AmServer::run_batch(std::vector<PendingQuery> batch) {
   }
   if (live.empty()) return;
 
-  // One engine call per distinct k (queries in a micro-batch may disagree
-  // on k); arrival order is preserved within each group, and the engine is
-  // deterministic, so coalescing never changes any query's answer.
-  std::map<int, std::vector<std::size_t>> by_k;
-  for (std::size_t i = 0; i < live.size(); ++i)
-    by_k[live[i].k].push_back(i);
-
-  // Pin one snapshot for the whole micro-batch: every answer below —
-  // across all per-k engine calls — is computed against this one epoch,
-  // while writers publish new epochs freely in parallel.
+  // One engine call for the whole micro-batch, at the largest k any query
+  // asked for.  Under the (score, row) total order a query's top-k is
+  // exactly the first k entries of its top-k_max, and the modeled costs do
+  // not depend on k, so each query keeps the answer it would get alone.
+  int k_max = 1;
+  core::DigitMatrix packed(index_.stages(), index_.levels());
+  for (const auto& query : live) {
+    k_max = std::max(k_max, query.k);
+    packed.append(query.digits);
+  }
+  // Pin one snapshot for the whole micro-batch: every answer below is
+  // computed against this one epoch, while writers publish new epochs
+  // freely in parallel.
   const auto snap = index_.pin();
   const auto generation = snap->generation;
-  for (auto& [k, members] : by_k) {
-    core::DigitMatrix packed(index_.stages(), index_.levels());
-    for (const auto i : members) packed.append(live[i].digits);
-    // Dispatch stamp: the moment this k-group's engine call starts.
-    const std::int64_t dispatched = obs::steady_now_ns();
-    for (const auto i : members) {
-      auto& span = live[i].span;
-      if (span.traced()) span.dispatch_ns = dispatched - span.enqueue_ns;
-    }
-    std::vector<TopKResult> results;
-    try {
-      results = engine_.submit_batch(snap, packed, k);
-    } catch (...) {
-      for (const auto i : members)
-        live[i].done(ServedResult{}, std::current_exception());
-      continue;
-    }
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      auto& query = live[members[j]];
-      ServedResult out;
-      out.status = QueryStatus::kOk;
-      out.result = std::move(results[j]);
-      out.queue_seconds = seconds_between(query.enqueued, now);
-      out.generation = generation;
-      out.trace_id = query.span.trace_id;
-      out.stages.scan = out.result.scan_seconds;
-      out.stages.merge = out.result.merge_seconds;
-      auto& span = query.span;
-      if (span.traced()) {
-        if (span.batch_form_ns >= 0)
-          out.stages.queue_wait = queue_wait_seconds(span);
-        if (span.batch_form_ns >= 0 && span.dispatch_ns >= span.batch_form_ns)
-          out.stages.batch_wait =
-              static_cast<double>(span.dispatch_ns - span.batch_form_ns) *
-              1e-9;
-        span.scan_ns =
-            static_cast<std::int64_t>(out.result.scan_seconds * 1e9);
-        span.merge_ns =
-            static_cast<std::int64_t>(out.result.merge_seconds * 1e9);
-        span.status = static_cast<int>(QueryStatus::kOk);
-        span.k = query.k;
-        span.generation = generation;
-        span.fulfill_ns = obs::steady_now_ns() - span.enqueue_ns;
-        if (!span.wire()) {
-          recorder_.record(span);
-          slow_.maybe_capture(span);
-        }
-        out.span = span;
+  // Dispatch stamp: the moment the engine call starts.
+  const std::int64_t dispatched = obs::steady_now_ns();
+  for (auto& query : live)
+    if (query.span.traced())
+      query.span.dispatch_ns = dispatched - query.span.enqueue_ns;
+  std::vector<TopKResult> results;
+  try {
+    results = engine_.submit_batch(snap, packed, k_max);
+  } catch (...) {
+    for (auto& query : live)
+      query.done(ServedResult{}, std::current_exception());
+    return;
+  }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    auto& query = live[i];
+    ServedResult out;
+    out.status = QueryStatus::kOk;
+    out.result = std::move(results[i]);
+    auto& entries = out.result.entries;
+    if (entries.size() > static_cast<std::size_t>(query.k))
+      entries.resize(static_cast<std::size_t>(query.k));
+    out.generation = generation;
+    out.trace_id = query.span.trace_id;
+    out.stages.scan = out.result.scan_seconds;
+    out.stages.merge = out.result.merge_seconds;
+    auto& span = query.span;
+    if (span.traced()) {
+      if (span.batch_form_ns >= 0)
+        out.stages.queue_wait = queue_wait_seconds(span);
+      if (span.batch_form_ns >= 0 && span.dispatch_ns >= span.batch_form_ns)
+        out.stages.batch_wait =
+            static_cast<double>(span.dispatch_ns - span.batch_form_ns) * 1e-9;
+      span.scan_ns = static_cast<std::int64_t>(out.result.scan_seconds * 1e9);
+      span.merge_ns =
+          static_cast<std::int64_t>(out.result.merge_seconds * 1e9);
+      span.status = static_cast<int>(QueryStatus::kOk);
+      span.k = query.k;
+      span.generation = generation;
+      span.fulfill_ns = obs::steady_now_ns() - span.enqueue_ns;
+      if (!span.wire()) {
+        recorder_.record(span);
+        slow_.maybe_capture(span);
       }
-      // scan/merge were already recorded by the engine inside submit_batch;
-      // only the queueing stages are this layer's to report.
-      StageTimings pre = out.stages;
-      pre.scan = -1.0;
-      pre.merge = -1.0;
-      engine_.metrics().record_stage_times(pre);
-      query.done(std::move(out), nullptr);
+      out.span = span;
     }
+    // scan/merge were already recorded by the engine inside submit_batch;
+    // only the queueing stages are this layer's to report.
+    StageTimings pre = out.stages;
+    pre.scan = -1.0;
+    pre.merge = -1.0;
+    engine_.metrics().record_stage_times(pre);
+    query.done(std::move(out), nullptr);
   }
 }
 

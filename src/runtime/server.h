@@ -4,10 +4,12 @@
 // parallel chains; the serving layer must therefore never serialize callers
 // behind a blocking batch API.  AmServer accepts individual queries from
 // any number of threads (`submit` returns immediately, with a std::future
-// or with a completion callback the dispatcher later runs), coalesces them
-// into dynamic micro-batches on a Scheduler (flush on max_batch or
-// max_delay, whichever first), and runs each batch on the owned
-// SearchEngine from a single dispatcher thread.
+// or with a completion callback the dispatcher later runs), and a single
+// dispatcher thread takes whatever pends on a Scheduler (up to max_batch)
+// the moment it is free and answers it with one call into the owned
+// SearchEngine, at the batch's largest k.  Nothing waits for a batch to
+// fill: a lone query is dispatched at once, and under load queries pile up
+// while the dispatcher is busy, so batches fill by themselves.
 //
 // Degradation is explicit, observable, and per-query:
 //  * admission   — the Scheduler's bounded queue applies kBlock / kReject /

@@ -233,8 +233,7 @@ TEST(RuntimeIngest, HammerWritersReadersCompactionSeeConsistentEpochs) {
                                   .compact_min_segments = 2,
                                   .background_compaction = true});
   AmServer server(index, {.engine = {.threads = 2},
-                          .scheduler = {.max_batch = 8,
-                                        .max_delay = 200e-6}});
+                          .scheduler = {.max_batch = 8}});
 
   // Stores-only mutation stream from an empty index: generation == rows at
   // every published epoch, which turns the stamped generation into a hard

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "am/calibration.h"
-#include "core/exact_backend.h"
 #include "core/registry.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -28,11 +27,13 @@
 #include "runtime/server.h"
 #include "runtime/sharded_index.h"
 #include "util/rng.h"
+#include "wrapped_exact_backend.h"
 
 namespace tdam::net {
 namespace {
 
 constexpr int kStages = 24;
+constexpr int kGatedLevels = 4;  // 2-bit digits, like the default registry
 
 const am::CalibrationResult& calibration() {
   static const am::CalibrationResult cal = [] {
@@ -58,7 +59,12 @@ std::vector<std::uint16_t> to_wire(const std::vector<int>& digits) {
 }
 
 // A populated index + AmServer + AmTcpServer on an ephemeral loopback port.
+// Besides the default registry, backend "gated" serves exact search behind
+// `gate`, which the stack opens on teardown so a held dispatcher never
+// outlives a test.
 struct Stack {
+  std::shared_ptr<test_support::Gate> gate =
+      std::make_shared<test_support::Gate>();
   std::unique_ptr<runtime::ShardedIndex> index;
   std::unique_ptr<runtime::AmServer> am;
   std::unique_ptr<AmTcpServer> tcp;
@@ -66,8 +72,9 @@ struct Stack {
   explicit Stack(const std::string& backend, int vectors = 64,
                  runtime::SchedulerOptions sched = {},
                  TcpServerOptions net = {}) {
-    const auto registry =
+    auto registry =
         runtime::default_registry(calibration(), {.stages = kStages});
+    test_support::add_gated_backend(registry, gate, kStages, kGatedLevels);
     index = std::make_unique<runtime::ShardedIndex>(
         registry,
         runtime::ShardedIndexOptions{.backend = backend, .shards = 2});
@@ -80,6 +87,8 @@ struct Stack {
     tcp = std::make_unique<AmTcpServer>(*am, net);
   }
 
+  ~Stack() { gate->open(); }
+
   AmClient connect() const { return AmClient("127.0.0.1", tcp->port()); }
 };
 
@@ -89,52 +98,38 @@ double counter_value(const runtime::AmServer& am, const std::string& name) {
   return 0.0;
 }
 
+// Polls `done` every millisecond; false if it is still unmet after 5 s.
+template <typename Pred>
+bool await(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 // Exact backend whose search hook throws for any query that starts with
 // kFailDigit: an engine failure on demand, which the wire must report as
 // ERROR/kInternal.
-class FailingBackend final : public core::SimilarityBackend {
+class FailingBackend final : public test_support::WrappedExactBackend {
  public:
   static constexpr int kFailDigit = 3;
   static constexpr int kLevels = 4;
 
-  FailingBackend(int stages, int levels) : inner_(stages, levels) {}
+  FailingBackend(int stages, int levels)
+      : WrappedExactBackend("failing", stages, levels) {}
 
-  std::string name() const override { return "failing"; }
-  core::DigitMetric metric() const override { return inner_.metric(); }
-  int stages() const override { return inner_.stages(); }
-  int levels() const override { return inner_.levels(); }
-  int rows() const override { return inner_.rows(); }
-  int store(std::span<const int> digits) override {
-    return inner_.store(digits);
-  }
-  void clear() override { inner_.clear(); }
-  std::vector<int> row_digits(int row) const override {
-    return inner_.row_digits(row);
-  }
   std::vector<core::BackendTopK> search_topk_packed_batch(
       const core::DigitMatrix& queries, int first, int count,
       int k) const override {
     for (int r = first; r < first + count; ++r)
       if (queries.unpack_row(r).front() == kFailDigit)
         throw std::runtime_error("injected search failure");
-    return inner_.search_topk_packed_batch(queries, first, count, k);
+    return WrappedExactBackend::search_topk_packed_batch(queries, first,
+                                                         count, k);
   }
-  int query_tile() const override { return inner_.query_tile(); }
-  void adopt_matrix(core::DigitMatrix matrix) override {
-    inner_.adopt_matrix(std::move(matrix));
-  }
-  const core::DigitMatrix* packed_view() const override {
-    return inner_.packed_view();
-  }
-  core::QueryCost query_cost(double mismatch_fraction) const override {
-    return inner_.query_cost(mismatch_fraction);
-  }
-  std::size_t resident_bytes() const override {
-    return inner_.resident_bytes();
-  }
-
- private:
-  core::ExactL1Backend inner_;
 };
 
 // --- parity with the in-process engine -----------------------------------
@@ -318,10 +313,10 @@ TEST(RuntimeNetServer, StoreBatchWithBadDigitGetsErrorNamingTheRow) {
 // --- degraded statuses are wire codes, not disconnects -------------------
 
 TEST(RuntimeNetServer, RejectedQueriesSurfaceAsWireCode) {
-  // Capacity 1 with a slow flush: pipelining 20 queries through one
+  // Capacity 1 behind a held dispatcher: pipelining 20 queries through one
   // connection must bounce some at admission while the first ones serve.
-  Stack stack("behavioral", 64,
-              {.max_batch = 64, .max_delay = 0.1, .queue_capacity = 1,
+  Stack stack("gated", 64,
+              {.max_batch = 64, .queue_capacity = 1,
                .policy = runtime::AdmissionPolicy::kReject});
   auto client = stack.connect();
   Rng rng(5);
@@ -329,6 +324,9 @@ TEST(RuntimeNetServer, RejectedQueriesSurfaceAsWireCode) {
   for (int i = 0; i < 20; ++i)
     ids.insert(client.send_query(
         to_wire(random_digits(rng, kStages, stack.index->levels())), 3));
+  ASSERT_TRUE(
+      await([&] { return stack.am->metrics().snapshot().rejected >= 1; }));
+  stack.gate->open();
 
   int ok = 0, rejected = 0;
   AmClient::Reply reply;
@@ -348,14 +346,16 @@ TEST(RuntimeNetServer, RejectedQueriesSurfaceAsWireCode) {
 }
 
 TEST(RuntimeNetServer, ShedQueriesSurfaceAsWireCode) {
-  Stack stack("behavioral", 64,
-              {.max_batch = 64, .max_delay = 0.1, .queue_capacity = 1,
+  Stack stack("gated", 64,
+              {.max_batch = 64, .queue_capacity = 1,
                .policy = runtime::AdmissionPolicy::kShedOldest});
   auto client = stack.connect();
   Rng rng(5);
   for (int i = 0; i < 20; ++i)
     client.send_query(
         to_wire(random_digits(rng, kStages, stack.index->levels())), 3);
+  ASSERT_TRUE(await([&] { return stack.am->metrics().snapshot().shed >= 1; }));
+  stack.gate->open();
 
   int ok = 0, shed = 0;
   AmClient::Reply reply;
@@ -373,15 +373,27 @@ TEST(RuntimeNetServer, ShedQueriesSurfaceAsWireCode) {
 }
 
 TEST(RuntimeNetServer, ExpiredDeadlinesSurfaceAsWireCode) {
-  // 1 us deadline against a 20 ms batching delay: every query expires in
+  // 1 us deadlines queued behind a held dispatcher: every query expires in
   // the queue and must come back kDeadlineExpired, connection intact.
-  Stack stack("behavioral", 64, {.max_batch = 64, .max_delay = 0.02});
-  auto client = stack.connect();
+  Stack stack("gated", 64, {.max_batch = 64});
   Rng rng(5);
-  for (int i = 0; i < 5; ++i) {
-    const auto reply = client.query(
+  auto holder = stack.connect();
+  holder.send_query(
+      to_wire(random_digits(rng, kStages, stack.index->levels())), 3);
+  ASSERT_TRUE(stack.gate->await_arrivals(1));
+  auto client = stack.connect();
+  for (int i = 0; i < 5; ++i)
+    client.send_query(
         to_wire(random_digits(rng, kStages, stack.index->levels())), 3,
         /*deadline_us=*/1);
+  ASSERT_TRUE(
+      await([&] { return stack.am->metrics().snapshot().queue_depth >= 5; }));
+  // Each deadline has certainly passed before the dispatcher is released.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  stack.gate->open();
+  for (int i = 0; i < 5; ++i) {
+    AmClient::Reply reply;
+    ASSERT_TRUE(client.recv(reply)) << "server disconnected on reply " << i;
     ASSERT_EQ(reply.type, MsgType::kQueryReply);
     EXPECT_EQ(reply.query.code, WireCode::kDeadlineExpired);
     EXPECT_TRUE(reply.query.entries.empty());
@@ -498,8 +510,7 @@ TEST(RuntimeNetServer, EngineFailureRepliesInternalAndKeepsServing) {
     expected = engine.submit_batch(batch, kTopK).front().entries;
   }
 
-  runtime::AmServer am(index, {.engine = {.threads = 1},
-                               .scheduler = {.max_delay = 1e-3}});
+  runtime::AmServer am(index, {.engine = {.threads = 1}});
   // In process, the engine's exception reaches the future as itself.
   EXPECT_THROW(am.submit(bad, kTopK).get(), std::runtime_error);
 
@@ -540,8 +551,8 @@ TEST(RuntimeNetServer, NonPositiveFrameCapThrows) {
 // --- graceful shutdown ----------------------------------------------------
 
 TEST(RuntimeNetServer, StopAnswersEveryInFlightQueryBeforeClosing) {
-  // Slow batching so queries are still queued when stop() lands.
-  Stack stack("behavioral", 64, {.max_batch = 64, .max_delay = 0.05});
+  // A held dispatcher, so queries are still queued when stop() lands.
+  Stack stack("gated", 64, {.max_batch = 64});
   auto client = stack.connect();
   Rng rng(5);
   constexpr int kInFlight = 30;
@@ -561,7 +572,12 @@ TEST(RuntimeNetServer, StopAnswersEveryInFlightQueryBeforeClosing) {
     ASSERT_LT(std::chrono::steady_clock::now(), poll_deadline);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  stack.tcp->stop();
+  ASSERT_TRUE(stack.gate->await_arrivals(1));
+  {
+    // stop() returns only once every query has run its callback.
+    const auto opener = stack.gate->open_after(std::chrono::milliseconds(50));
+    stack.tcp->stop();
+  }
 
   // Every pipelined query gets a terminal reply — served, or rejected at
   // shutdown — and only then EOF.  None may vanish.
@@ -583,22 +599,27 @@ TEST(RuntimeNetServer, StopAnswersEveryInFlightQueryBeforeClosing) {
 }
 
 TEST(RuntimeNetServer, RejectedReplyIsNotHeldBehindAnotherConnectionsQuery) {
-  // Connection A's query holds the one queue slot for the 0.5 s batching
-  // delay.  Connection B's query is bounced at admission, and its kRejected
-  // reply must leave at once, not wait behind A's still-queued query.
-  Stack stack("behavioral", 64,
-              {.max_batch = 64, .max_delay = 0.5, .queue_capacity = 1,
+  // A third connection's query holds the dispatcher at the gate, so
+  // connection A's query holds the one queue slot.  Connection B's query is
+  // bounced at admission, and its kRejected reply must leave at once, not
+  // wait behind A's still-queued query.
+  Stack stack("gated", 64,
+              {.max_batch = 64, .queue_capacity = 1,
                .policy = runtime::AdmissionPolicy::kReject});
+  auto holder = stack.connect();
   auto a = stack.connect();
   auto b = stack.connect();
   Rng rng(5);
+  holder.send_query(
+      to_wire(random_digits(rng, kStages, stack.index->levels())), 3);
+  ASSERT_TRUE(stack.gate->await_arrivals(1));
   const auto a_id = a.send_query(
       to_wire(random_digits(rng, kStages, stack.index->levels())), 3);
 
   // Wait until the server has counted A's frame and queued its query.
   const auto poll_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (counter_value(*stack.am, "tdam_net_frames_in_total") < 1 ||
+  while (counter_value(*stack.am, "tdam_net_frames_in_total") < 2 ||
          stack.am->metrics().snapshot().queue_depth < 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), poll_deadline);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -613,6 +634,7 @@ TEST(RuntimeNetServer, RejectedReplyIsNotHeldBehindAnotherConnectionsQuery) {
   ASSERT_EQ(rejected.type, MsgType::kQueryReply);
   EXPECT_EQ(rejected.query.code, WireCode::kRejected);
   EXPECT_LT(waited, 0.2) << "B's rejection waited behind A's query";
+  stack.gate->open();
 
   AmClient::Reply served;
   ASSERT_TRUE(a.recv(served));

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "runtime/scheduler.h"
 #include "runtime/sharded_index.h"
 #include "util/rng.h"
+#include "wrapped_exact_backend.h"
 
 namespace tdam::runtime {
 namespace {
@@ -40,22 +42,28 @@ core::BackendRegistry registry_for(int stages) {
   return runtime::default_registry(calibration(), {.stages = stages});
 }
 
+// A registry holding only "gated": exact search behind `gate`.
+core::BackendRegistry gated_registry(
+    int stages, std::shared_ptr<test_support::Gate> gate) {
+  core::BackendRegistry reg;
+  test_support::add_gated_backend(reg, std::move(gate), stages, kLevels);
+  return reg;
+}
+
 PendingQuery pending(std::vector<int> digits, int k = 1,
                      steady_clock::time_point deadline = AmServer::kNoDeadline) {
   PendingQuery q;
   q.digits = std::move(digits);
   q.k = k;
   q.deadline = deadline;
-  q.enqueued = steady_clock::now();
   return q;
 }
 
 // --- Scheduler: pure queue/batching/admission semantics, no engine ---
 
 TEST(RuntimeScheduler, FlushesImmediatelyAtMaxBatch) {
-  Scheduler s({.max_batch = 4, .max_delay = 60.0, .queue_capacity = 64});
+  Scheduler s({.max_batch = 4, .queue_capacity = 64});
   for (int i = 0; i < 4; ++i) s.enqueue(pending({i}));
-  // max_delay is a minute: only the max_batch trigger can flush this fast.
   const auto batch = s.next_batch();
   ASSERT_EQ(batch.size(), 4u);
   for (int i = 0; i < 4; ++i)
@@ -63,20 +71,21 @@ TEST(RuntimeScheduler, FlushesImmediatelyAtMaxBatch) {
   EXPECT_EQ(s.depth(), 0);
 }
 
-TEST(RuntimeScheduler, FlushesPartialBatchAfterMaxDelay) {
-  Scheduler s({.max_batch = 32, .max_delay = 0.01, .queue_capacity = 64});
-  const auto t0 = steady_clock::now();
+TEST(RuntimeScheduler, NextBatchTakesWhatPendsWithoutWaiting) {
+  // Work-conserving batching: a lone query is not held back waiting for
+  // company, so next_batch hands it over at once.
+  Scheduler s({});
   s.enqueue(pending({1}));
+  const auto t0 = steady_clock::now();
   const auto batch = s.next_batch();
   const double waited =
       std::chrono::duration<double>(steady_clock::now() - t0).count();
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_GE(waited, 0.009);  // the flush really came from the delay trigger
+  EXPECT_LT(waited, 1e-3);
 }
 
 TEST(RuntimeScheduler, RejectPolicyFailsTheNewQueryWhenFull) {
   Scheduler s({.max_batch = 8,
-               .max_delay = 60.0,
                .queue_capacity = 2,
                .policy = AdmissionPolicy::kReject});
   auto q0 = pending({0});
@@ -94,7 +103,6 @@ TEST(RuntimeScheduler, RejectPolicyFailsTheNewQueryWhenFull) {
 
 TEST(RuntimeScheduler, ShedOldestEvictsTheHeadAndAdmitsTheNewQuery) {
   Scheduler s({.max_batch = 2,
-               .max_delay = 60.0,
                .queue_capacity = 2,
                .policy = AdmissionPolicy::kShedOldest});
   auto q0 = pending({0});
@@ -112,7 +120,6 @@ TEST(RuntimeScheduler, ShedOldestEvictsTheHeadAndAdmitsTheNewQuery) {
 
 TEST(RuntimeScheduler, BlockPolicyAppliesBackpressureUntilSpaceFrees) {
   Scheduler s({.max_batch = 1,
-               .max_delay = 60.0,
                .queue_capacity = 1,
                .policy = AdmissionPolicy::kBlock});
   s.enqueue(pending({0}));
@@ -135,7 +142,7 @@ TEST(RuntimeScheduler, BlockPolicyAppliesBackpressureUntilSpaceFrees) {
 }
 
 TEST(RuntimeScheduler, CloseFlushesPendingThenReturnsEmptyAndRejectsNewWork) {
-  Scheduler s({.max_batch = 32, .max_delay = 60.0, .queue_capacity = 8});
+  Scheduler s({.max_batch = 32, .queue_capacity = 8});
   s.enqueue(pending({0}));
   s.enqueue(pending({1}));
   s.close();
@@ -152,7 +159,6 @@ TEST(RuntimeScheduler, CloseFlushesPendingThenReturnsEmptyAndRejectsNewWork) {
 TEST(RuntimeScheduler, RecordsAdmissionOutcomesInMetrics) {
   ServingMetrics metrics;
   Scheduler s({.max_batch = 8,
-               .max_delay = 60.0,
                .queue_capacity = 1,
                .policy = AdmissionPolicy::kShedOldest},
               &metrics);
@@ -171,7 +177,6 @@ TEST(RuntimeScheduler, RecordsAdmissionOutcomesInMetrics) {
 TEST(RuntimeScheduler, ValidatesOptions) {
   EXPECT_THROW(Scheduler({.max_batch = 0}), std::invalid_argument);
   EXPECT_THROW(Scheduler({.queue_capacity = 0}), std::invalid_argument);
-  EXPECT_THROW(Scheduler({.max_delay = -1.0}), std::invalid_argument);
 }
 
 // --- AmServer: end-to-end async serving over the real engine ---
@@ -211,8 +216,7 @@ TEST(RuntimeServer, MatchesDirectEngineForEveryBackend) {
     const auto reference = direct.submit_batch(w.queries, kTopK);
 
     AmServer server(w.index, {.engine = {.threads = 2},
-                              .scheduler = {.max_batch = 8,
-                                            .max_delay = 1e-4}});
+                              .scheduler = {.max_batch = 8}});
     std::vector<std::future<ServedResult>> futures;
     for (const auto& q : w.queries)
       futures.push_back(server.submit(q, kTopK));
@@ -221,7 +225,6 @@ TEST(RuntimeServer, MatchesDirectEngineForEveryBackend) {
       ASSERT_EQ(served.status, QueryStatus::kOk) << "backend=" << name;
       EXPECT_EQ(served.result.entries, reference[q].entries)
           << "backend=" << name << " query=" << q;
-      EXPECT_GE(served.queue_seconds, 0.0);
     }
   }
 }
@@ -235,7 +238,7 @@ TEST(RuntimeServer, PackedSubmitMatchesPerQuerySubmit) {
 
   core::DigitMatrix packed(kStages, kLevels);
   for (const auto& q : w.queries) packed.append(q);
-  AmServer server(w.index, {.scheduler = {.max_batch = 4, .max_delay = 1e-4}});
+  AmServer server(w.index, {.scheduler = {.max_batch = 4}});
   auto futures = server.submit(packed, kTopK);
   ASSERT_EQ(futures.size(), w.queries.size());
   for (std::size_t q = 0; q < futures.size(); ++q) {
@@ -249,7 +252,7 @@ TEST(RuntimeServer, ExpiredDeadlineShortCircuitsWithoutTouchingShards) {
   constexpr int kStages = 8;
   const auto reg = registry_for(kStages);
   auto w = make_workload(reg, "exact", 2, kStages, 10, 4, 1100);
-  AmServer server(w.index, {.scheduler = {.max_batch = 4, .max_delay = 1e-3}});
+  AmServer server(w.index, {.scheduler = {.max_batch = 4}});
   // A deadline already in the past must come back kDeadlineExpired with no
   // entries — the dispatcher sheds it at dequeue, before any shard work.
   const auto past = steady_clock::now() - std::chrono::seconds(1);
@@ -268,14 +271,20 @@ TEST(RuntimeServer, ExpiredDeadlineShortCircuitsWithoutTouchingShards) {
 
 TEST(RuntimeServer, MixedKWithinOneMicroBatch) {
   constexpr int kStages = 12;
-  const auto reg = registry_for(kStages);
-  auto w = make_workload(reg, "exact", 2, kStages, 30, 6, 1200);
+  auto gate = std::make_shared<test_support::Gate>();
+  const auto reg = gated_registry(kStages, gate);
+  auto w = make_workload(reg, "gated", 2, kStages, 30, 6, 1200);
   SearchEngine direct(w.index, {.threads = 1});
-  AmServer server(w.index,
-                  {.scheduler = {.max_batch = 6, .max_delay = 50e-3}});
+  AmServer server(w.index, {.scheduler = {.max_batch = 6}});
+  // A first query holds the dispatcher at the gate, so the six mixed-k
+  // queries all pend together and leave as one micro-batch.
+  auto holder = server.submit(w.queries[0], 1);
+  ASSERT_TRUE(gate->await_arrivals(1));
   std::vector<std::future<ServedResult>> futures;
   for (std::size_t q = 0; q < w.queries.size(); ++q)
     futures.push_back(server.submit(w.queries[q], 1 + static_cast<int>(q % 3)));
+  gate->open();
+  EXPECT_EQ(holder.get().status, QueryStatus::kOk);
   for (std::size_t q = 0; q < futures.size(); ++q) {
     const auto served = futures[q].get();
     ASSERT_EQ(served.status, QueryStatus::kOk);
@@ -284,6 +293,10 @@ TEST(RuntimeServer, MixedKWithinOneMicroBatch) {
         std::span<const std::vector<int>>(&w.queries[q], 1), k);
     EXPECT_EQ(served.result.entries, ref[0].entries) << "query=" << q;
   }
+  // The holder's batch plus one engine call for all three k values.
+  const auto m = server.metrics().snapshot();
+  EXPECT_EQ(m.queries, w.queries.size() + 1);
+  EXPECT_EQ(m.batches, 2u);
 }
 
 TEST(RuntimeServer, StoreWhileLiveDrainsBatchesAndBumpsGeneration) {
@@ -292,8 +305,7 @@ TEST(RuntimeServer, StoreWhileLiveDrainsBatchesAndBumpsGeneration) {
   auto w = make_workload(reg, "exact", 2, kStages, 20, 8, 1300);
   const auto base_generation = w.index.generation();  // 20 stores
   AmServer server(w.index, {.engine = {.threads = 2},
-                            .scheduler = {.max_batch = 4,
-                                          .max_delay = 1e-4}});
+                            .scheduler = {.max_batch = 4}});
   EXPECT_EQ(server.generation(), base_generation);
 
   // Keep a stream of queries in flight while storing a brand-new row.
@@ -322,15 +334,19 @@ TEST(RuntimeServer, StoreWhileLiveDrainsBatchesAndBumpsGeneration) {
 
 TEST(RuntimeServer, ShutdownDrainsQueuedQueriesAndRejectsLateSubmits) {
   constexpr int kStages = 8;
-  const auto reg = registry_for(kStages);
-  auto w = make_workload(reg, "exact", 2, kStages, 15, 10, 1500);
-  AmServer server(w.index,
-                  {.scheduler = {.max_batch = 64, .max_delay = 60.0}});
-  // max_delay is a minute and the batch never fills: only shutdown's drain
-  // can answer these.
+  auto gate = std::make_shared<test_support::Gate>();
+  const auto reg = gated_registry(kStages, gate);
+  auto w = make_workload(reg, "gated", 2, kStages, 15, 10, 1500);
+  AmServer server(w.index, {.scheduler = {.max_batch = 64}});
+  // The first query holds the dispatcher at the gate, so the rest are
+  // still queued when shutdown lands: only its drain can answer them.
   std::vector<std::future<ServedResult>> futures;
   for (const auto& q : w.queries) futures.push_back(server.submit(q, 2));
-  server.shutdown();
+  ASSERT_TRUE(gate->await_arrivals(1));
+  {
+    const auto opener = gate->open_after(std::chrono::milliseconds(50));
+    server.shutdown();
+  }
   for (auto& f : futures) {
     const auto served = f.get();
     EXPECT_EQ(served.status, QueryStatus::kOk);
@@ -360,8 +376,7 @@ TEST(RuntimeServer, MetricsExposeBatchSizesAndQueueDepth) {
   constexpr int kStages = 8;
   const auto reg = registry_for(kStages);
   auto w = make_workload(reg, "exact", 2, kStages, 12, 16, 1700);
-  AmServer server(w.index,
-                  {.scheduler = {.max_batch = 4, .max_delay = 1e-4}});
+  AmServer server(w.index, {.scheduler = {.max_batch = 4}});
   std::vector<std::future<ServedResult>> futures;
   for (const auto& q : w.queries) futures.push_back(server.submit(q, 2));
   for (auto& f : futures) EXPECT_EQ(f.get().status, QueryStatus::kOk);
@@ -380,7 +395,7 @@ TEST(RuntimeServer, ResultsCarryTraceIdsAndStageTimings) {
   const auto reg = registry_for(kStages);
   auto w = make_workload(reg, "exact", 2, kStages, 12, 8, 1800);
   AmServer server(w.index,
-                  {.scheduler = {.max_batch = 4, .max_delay = 1e-4},
+                  {.scheduler = {.max_batch = 4},
                    .trace = {.mode = obs::TraceMode::kFull,
                              .capacity = 64}});
   std::vector<std::future<ServedResult>> futures;
@@ -423,7 +438,7 @@ TEST(RuntimeServer, TracingOffStillAssignsIdsButRecordsNothing) {
   const auto reg = registry_for(kStages);
   auto w = make_workload(reg, "exact", 1, kStages, 6, 4, 1900);
   AmServer server(w.index,
-                  {.scheduler = {.max_batch = 2, .max_delay = 1e-4},
+                  {.scheduler = {.max_batch = 2},
                    .trace = {.mode = obs::TraceMode::kOff}});
   std::vector<std::future<ServedResult>> futures;
   for (const auto& q : w.queries) futures.push_back(server.submit(q, 1));
@@ -440,18 +455,21 @@ TEST(RuntimeServer, TracingOffStillAssignsIdsButRecordsNothing) {
 }
 
 TEST(RuntimeServer, DestructionWithQueriesInFlightNeverBreaksAPromise) {
-  // Destroy the server while queries are still queued (a minute of batching
-  // delay guarantees they are): every future must resolve with a terminal
-  // status — kOk or kRejected — and none may throw broken_promise.
+  // Destroy the server while queries are still queued (the gate holds the
+  // dispatcher on the first one): every future must resolve with a
+  // terminal status — kOk or kRejected — and none may throw broken_promise.
   constexpr int kStages = 8, kQueries = 40;
-  const auto reg = registry_for(kStages);
-  auto w = make_workload(reg, "exact", 1, kStages, 6, kQueries, 2100);
+  auto gate = std::make_shared<test_support::Gate>();
+  const auto reg = gated_registry(kStages, gate);
+  auto w = make_workload(reg, "gated", 1, kStages, 6, kQueries, 2100);
   std::vector<std::future<ServedResult>> futures;
   {
-    AmServer server(w.index,
-                    {.scheduler = {.max_batch = 64, .max_delay = 60.0}});
+    std::jthread opener;  // declared first: joins after ~AmServer returns
+    AmServer server(w.index, {.scheduler = {.max_batch = 64}});
     for (const auto& q : w.queries) futures.push_back(server.submit(q, 1));
-  }  // ~AmServer with the whole workload still pending
+    ASSERT_TRUE(gate->await_arrivals(1));
+    opener = gate->open_after(std::chrono::milliseconds(50));
+  }  // ~AmServer with the workload still pending
   for (auto& f : futures) {
     const auto served = f.get();  // broken promise would throw future_error
     EXPECT_TRUE(served.status == QueryStatus::kOk ||
@@ -464,7 +482,7 @@ TEST(RuntimeScheduler, DestructorRejectsStillQueuedQueries) {
   // orphaned promises itself (kRejected), never abandon them.
   std::vector<std::future<ServedResult>> futures;
   {
-    Scheduler s({.max_batch = 64, .max_delay = 60.0, .queue_capacity = 64});
+    Scheduler s({.max_batch = 64, .queue_capacity = 64});
     for (int i = 0; i < 5; ++i) {
       auto q = pending({i});
       futures.push_back(bind_future(q.done));
